@@ -24,12 +24,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .errors import ContextRepError, InvalidPhases, ParseError
-from .hilbert import PhaseAssignment, build_complex_context
+from .hilbert import ComplexContextVector, PhaseAssignment, build_complex_context
 from .joint import (
     FLOAT_TOLERANCE,
     JointTable,
@@ -42,15 +41,14 @@ from .probability import (
     ContextId,
     CountTable,
     ProbabilityVector,
-    Value,
-    display_rounded,
-    is_exact_value,
     parse_counts_csv,
     parse_counts_json,
     probabilities_from_counts,
+    value_entry,
 )
 from .scenarios import (
     VesselsConfig,
+    animal_acts_dataset,
     animal_acts_tables,
     simulate_vessels,
     vessels_joint_table,
@@ -59,25 +57,26 @@ from .simplex import build_real_context, monte_carlo_measurement
 
 DEFAULT_TRIALS = 100_000
 
+T = TypeVar("T")
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Execution knobs embedded verbatim in every report."""
+    """Execution knobs embedded verbatim in every report; None when a flag is absent."""
 
     tolerance: Optional[float] = None
-    arithmetic: Optional[str] = None  # "exact" | "float" | None = table default
+    arithmetic: Optional[str] = None  # "float" | None = table default
     seed: Optional[int] = None
     trials: Optional[int] = None
     phases: Optional[str] = None
-    output: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.tolerance is not None and not (self.tolerance >= 0):
             raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
         if self.trials is not None and self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.arithmetic not in (None, "exact", "float"):
-            raise ValueError(f"arithmetic must be 'exact' or 'float', got {self.arithmetic!r}")
+        if self.arithmetic not in (None, "float"):
+            raise ValueError(f"arithmetic must be 'float' or None, got {self.arithmetic!r}")
 
     def as_dict(self) -> dict:
         return {
@@ -89,37 +88,22 @@ class RunConfig:
         }
 
 
-def _value_entry(x: Value) -> dict:
-    return {
-        "value": float(x),
-        "display": display_rounded(x),
-        "exact": str(Fraction(x)) if is_exact_value(x) else None,
-    }
-
-
-def _vector_entries(p: ProbabilityVector) -> dict:
-    return {label: _value_entry(x) for label, x in zip(p.outcomes.labels, p.probs)}
-
-
 def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _parse_counts_file(path: str) -> CountTable:
+def _parse_file(path: str, parse_json: Callable[[str], T], parse_csv: Callable[[str], T]) -> T:
+    """Parse by extension; without .json or .csv, a leading '{' means JSON."""
     text = _read_text(path)
     if path.endswith(".json") or (not path.endswith(".csv") and text.lstrip()[:1] == "{"):
-        return parse_counts_json(text)
-    return parse_counts_csv(text)
+        return parse_json(text)
+    return parse_csv(text)
 
 
-def _parse_joint_file(path: str) -> JointTable:
-    text = _read_text(path)
-    if path.endswith(".json") or (not path.endswith(".csv") and text.lstrip()[:1] == "{"):
-        return parse_joint_json(text)
-    return parse_joint_csv(text)
-
-
-def _load_phases(path: str, labels: Sequence[str]) -> PhaseAssignment:
+def _load_phases(path: Optional[str], labels: Sequence[str]) -> Optional[PhaseAssignment]:
+    """The --phases file over the given basis labels; None when no file was named."""
+    if path is None:
+        return None
     text = _read_text(path)
     try:
         data = json.loads(text)
@@ -136,49 +120,53 @@ def _context_for(path: str, measurement: str) -> ContextId:
     return ContextId(entity=Path(path).stem, state="observed", measurement=measurement)
 
 
-def _table_dict(t: JointTable) -> dict:
-    return {
-        "rows": list(t.row_outcomes.labels),
-        "cols": list(t.col_outcomes.labels),
-        "counts": [list(r) for r in t.counts] if t.counts is not None else None,
-        "probabilities": [[_value_entry(p) for p in row] for row in t.probs],
-    }
+def _moduli_entries(w: ComplexContextVector) -> dict:
+    return {label: value_entry(mod) for label, mod in zip(w.outcomes.labels, w.moduli())}
 
 
-def _apply_arithmetic(t: JointTable, cfg: RunConfig) -> JointTable:
+def _joint_sections(t: JointTable, cfg: RunConfig, table_key: str) -> dict:
+    """Table, verdict and joint vectors of a joint-table report, --float applied first."""
     if cfg.arithmetic == "float" and t.is_exact:
-        return JointTable(t.row_outcomes, t.col_outcomes, t.as_floats())
-    return t
+        t = JointTable(t.row_outcomes, t.col_outcomes, t.as_floats())
+    report = is_product(t, tol=cfg.tolerance)
+    real, w = build_joint_vectors(t, _load_phases(cfg.phases, t.combined_labels()))
+    return {
+        table_key: {
+            "rows": list(t.row_outcomes.labels),
+            "cols": list(t.col_outcomes.labels),
+            "counts": [list(r) for r in t.counts] if t.counts is not None else None,
+            "probabilities": [[value_entry(p) for p in row] for row in t.probs],
+        },
+        "report": report.to_json_dict(),
+        "joint_real_vector": {
+            label: value_entry(x) for label, x in zip(t.combined_labels(), real)
+        },
+        "joint_complex_vector": w.to_json_dict(),
+    }
 
 
 def cmd_represent(args: argparse.Namespace) -> dict:
     cfg = _config_from(args)
-    counts = _parse_counts_file(args.input)
+    counts = _parse_file(args.input, parse_counts_json, parse_counts_csv)
     p = probabilities_from_counts(counts)
     ctx = _context_for(args.input, "outcome-counts")
-    phases = None
-    if cfg.phases is not None:
-        phases = _load_phases(cfg.phases, counts.outcomes.labels)
-    w = build_complex_context(p, ctx, phases=phases)
+    w = build_complex_context(p, ctx, phases=_load_phases(cfg.phases, counts.outcomes.labels))
     return {
         "command": "represent",
         "config": cfg.as_dict(),
         "context": ctx.as_dict(),
         "counts": counts.as_mapping(),
         "total": counts.total,
-        "real_vector": _vector_entries(p),
+        "real_vector": p.to_json_dict(),
         "complex_vector": w.to_json_dict(),
-        "moduli": {
-            label: _value_entry(mod)
-            for label, mod in zip(counts.outcomes.labels, w.moduli())
-        },
+        "moduli": _moduli_entries(w),
         "born_probabilities": dict(zip(counts.outcomes.labels, w.probabilities())),
     }
 
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
     cfg = _config_from(args)
-    counts = _parse_counts_file(args.input)
+    counts = _parse_file(args.input, parse_counts_json, parse_counts_csv)
     p = probabilities_from_counts(counts)
     ctx = _context_for(args.input, "outcome-counts")
     v = build_real_context(p, ctx)
@@ -206,59 +194,36 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 
 def cmd_entanglement(args: argparse.Namespace) -> dict:
     cfg = _config_from(args)
-    t = _apply_arithmetic(_parse_joint_file(args.input), cfg)
-    report = is_product(t, tol=cfg.tolerance)
-    phases = None
-    if cfg.phases is not None:
-        phases = _load_phases(cfg.phases, t.combined_labels())
-    real, w = build_joint_vectors(t, phases)
+    t = _parse_file(args.input, parse_joint_json, parse_joint_csv)
     return {
         "command": "entanglement",
         "config": cfg.as_dict(),
-        "table": _table_dict(t),
-        "report": report.to_json_dict(),
-        "joint_real_vector": {
-            label: _value_entry(x) for label, x in zip(t.combined_labels(), real)
-        },
-        "joint_complex_vector": w.to_json_dict(),
+        **_joint_sections(t, cfg, "table"),
+    }
+
+
+def _poll_section(counts: CountTable, p: ProbabilityVector, ctx: ContextId) -> dict:
+    return {
+        "counts": counts.as_mapping(),
+        "real_vector": p.to_json_dict(),
+        "moduli": _moduli_entries(build_complex_context(p, ctx)),
     }
 
 
 def cmd_scenario_animal_acts(args: argparse.Namespace) -> dict:
     cfg = _config_from(args)
-    tables = animal_acts_tables()
-    animal_ctx = ContextId("animal-acts", "survey", "animal")
-    act_ctx = ContextId("animal-acts", "survey", "act")
-    w_animal = build_complex_context(tables.animal, animal_ctx)
-    w_act = build_complex_context(tables.act, act_ctx)
-    report = is_product(tables.joint, tol=cfg.tolerance)
-    real, w_joint = build_joint_vectors(tables.joint)
+    dataset = animal_acts_dataset()
+    tables = animal_acts_tables(dataset)
     return {
         "command": "scenario animal-acts",
         "config": cfg.as_dict(),
-        "animal": {
-            "counts": {"Horse": 43, "Bear": 38},
-            "real_vector": _vector_entries(tables.animal),
-            "moduli": {
-                label: _value_entry(mod)
-                for label, mod in zip(tables.animal.outcomes.labels, w_animal.moduli())
-            },
-        },
-        "act": {
-            "counts": {"Growls": 39, "Whinnies": 42},
-            "real_vector": _vector_entries(tables.act),
-            "moduli": {
-                label: _value_entry(mod)
-                for label, mod in zip(tables.act.outcomes.labels, w_act.moduli())
-            },
-        },
-        "joint": _table_dict(tables.joint),
-        "report": report.to_json_dict(),
-        "joint_real_vector": {
-            label: _value_entry(x)
-            for label, x in zip(tables.joint.combined_labels(), real)
-        },
-        "joint_complex_vector": w_joint.to_json_dict(),
+        "animal": _poll_section(
+            dataset.animal_counts, tables.animal, ContextId("animal-acts", "survey", "animal")
+        ),
+        "act": _poll_section(
+            dataset.act_counts, tables.act, ContextId("animal-acts", "survey", "act")
+        ),
+        **_joint_sections(tables.joint, cfg, "joint"),
     }
 
 
@@ -272,9 +237,6 @@ def cmd_scenario_vessels(args: argparse.Namespace) -> dict:
         threshold=args.threshold,
     )
     outcome_counts = simulate_vessels(vessels_cfg)
-    t = _apply_arithmetic(vessels_joint_table(outcome_counts), cfg)
-    report = is_product(t, tol=cfg.tolerance)
-    real, w_joint = build_joint_vectors(t)
     return {
         "command": "scenario vessels",
         "config": cfg.as_dict(),
@@ -286,21 +248,12 @@ def cmd_scenario_vessels(args: argparse.Namespace) -> dict:
             "threshold": vessels_cfg.threshold,
         },
         "outcome_counts": outcome_counts.as_mapping(),
-        "joint": _table_dict(t),
-        "report": report.to_json_dict(),
-        "joint_real_vector": {
-            label: _value_entry(x) for label, x in zip(t.combined_labels(), real)
-        },
-        "joint_complex_vector": w_joint.to_json_dict(),
+        **_joint_sections(vessels_joint_table(outcome_counts), cfg, "joint"),
     }
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    arithmetic = None
-    if getattr(args, "exact", False):
-        arithmetic = "exact"
-    elif getattr(args, "float", False):
-        arithmetic = "float"
+    arithmetic = "float" if getattr(args, "float", False) else None
     tolerance = getattr(args, "tolerance", None)
     if tolerance is None and arithmetic == "float":
         tolerance = FLOAT_TOLERANCE
@@ -310,27 +263,35 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         seed=getattr(args, "seed", None),
         trials=getattr(args, "trials", None),
         phases=getattr(args, "phases", None),
-        output=getattr(args, "output", None),
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=None,
-                        help="product-test tolerance (default: 0 exact, 1e-9 float)")
-    mode = common.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true",
-                      help="keep exact rational arithmetic (default for counts)")
-    mode.add_argument("--float", action="store_true",
-                      help="convert tables to floating point before analysis")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    common.add_argument("--trials", type=int, default=None,
-                        help=f"simulation trials (default {DEFAULT_TRIALS})")
-    common.add_argument("--phases", metavar="FILE", default=None,
-                        help="JSON file mapping basis labels to phase angles in radians")
-    common.add_argument("--output", metavar="PATH", default=None,
-                        help="write the JSON report here instead of stdout")
+#: Every optional flag a subcommand may take, by name.
+_FLAGS = {
+    "--tolerance": dict(type=float, default=None,
+                        help="product-test tolerance (default: 0 exact, 1e-9 float)"),
+    "--float": dict(action="store_true",
+                    help="convert the joint table to floating point before analysis"),
+    "--seed": dict(type=int, default=None, help="RNG seed (default 0)"),
+    "--trials": dict(type=int, default=None,
+                     help=f"simulation trials (default {DEFAULT_TRIALS})"),
+    "--phases": dict(metavar="FILE", default=None,
+                     help="JSON file mapping basis labels to phase angles in radians"),
+    "--output": dict(metavar="PATH", default=None,
+                     help="write the JSON report here instead of stdout"),
+}
 
+
+def _add_subcommand(sub, name: str, handler, summary: str, *flags: str) -> argparse.ArgumentParser:
+    """A subcommand taking the named flags plus --output, and nothing else."""
+    parser = sub.add_parser(name, help=summary)
+    for flag in (*flags, "--output"):
+        parser.add_argument(flag, **_FLAGS[flag])
+    parser.set_defaults(handler=handler)
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contextrep",
         description="Simplex and Hilbert representations of measurement data, "
@@ -338,36 +299,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_rep = sub.add_parser("represent", parents=[common],
-                           help="build real and complex vectors from a counts file")
+    p_rep = _add_subcommand(sub, "represent", cmd_represent,
+                            "build real and complex vectors from a counts file", "--phases")
     p_rep.add_argument("input", help="counts file (CSV label,count or JSON object)")
-    p_rep.set_defaults(handler=cmd_represent)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
-                           help="Monte Carlo hidden-variable measurement vs target")
+    p_sim = _add_subcommand(sub, "simulate", cmd_simulate,
+                            "Monte Carlo hidden-variable measurement vs target",
+                            "--seed", "--trials")
     p_sim.add_argument("input", help="counts file (CSV label,count or JSON object)")
-    p_sim.set_defaults(handler=cmd_simulate)
 
-    p_ent = sub.add_parser("entanglement", parents=[common],
-                           help="decide product vs entangled for a joint counts file")
+    p_ent = _add_subcommand(sub, "entanglement", cmd_entanglement,
+                            "decide product vs entangled for a joint counts file",
+                            "--tolerance", "--float", "--phases")
     p_ent.add_argument("input", help="joint counts file (CSV row,col,count or JSON)")
-    p_ent.set_defaults(handler=cmd_entanglement)
 
     p_scn = sub.add_parser("scenario", help="run a built-in scenario")
     scn_sub = p_scn.add_subparsers(dest="scenario", required=True)
 
-    p_aa = scn_sub.add_parser("animal-acts", parents=[common],
-                              help="embedded survey dataset, full pipeline")
-    p_aa.set_defaults(handler=cmd_scenario_animal_acts)
+    _add_subcommand(scn_sub, "animal-acts", cmd_scenario_animal_acts,
+                    "embedded survey dataset, full pipeline", "--tolerance", "--float")
 
-    p_vs = scn_sub.add_parser("vessels", parents=[common],
-                              help="two-vessel water experiment simulation")
+    p_vs = _add_subcommand(scn_sub, "vessels", cmd_scenario_vessels,
+                           "two-vessel water experiment simulation",
+                           "--seed", "--trials", "--tolerance", "--float")
     p_vs.add_argument("--mode", choices=("separate", "connected"), required=True)
     p_vs.add_argument("--capacity", type=float, default=20.0,
                       help="vessel capacity in liters (default 20)")
     p_vs.add_argument("--threshold", type=float, default=10.0,
                       help="more/less threshold in liters (default 10)")
-    p_vs.set_defaults(handler=cmd_scenario_vessels)
 
     return parser
 
@@ -385,11 +344,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
-        _emit(report, getattr(args, "output", None))
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        _emit(report, args.output)
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ContextRepError, ValueError) as exc:

@@ -29,6 +29,11 @@ NORM_TOLERANCE = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
+def round_sig(x: float) -> float:
+    """Round to 12 significant digits, the precision amplitudes are reported at."""
+    return float(f"{x:.12g}")
+
+
 @dataclass(frozen=True)
 class BlockSpectralFamily:
     """Ordered partition of the ambient indices {0, ..., m-1} into outcome blocks."""
@@ -134,12 +139,13 @@ class ComplexContextVector:
         return tuple(born_probability(self, k) for k in range(self.outcomes.n))
 
     def to_json_dict(self) -> dict:
-        sig = lambda x: float(f"{x:.12g}")
         return {
             "context": self.context.as_dict(),
             "m": self.family.m,
             "blocks": [list(b) for b in self.family.blocks],
-            "amplitudes": [{"re": sig(a.real), "im": sig(a.imag)} for a in self.amplitudes],
+            "amplitudes": [
+                {"re": round_sig(a.real), "im": round_sig(a.imag)} for a in self.amplitudes
+            ],
             "probabilities": list(self.probabilities()),
         }
 

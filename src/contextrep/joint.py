@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     UnsupportedFamily,
 )
-from .hilbert import NORM_TOLERANCE, ComplexContextVector, PhaseAssignment, TWO_PI
+from .hilbert import NORM_TOLERANCE, ComplexContextVector, PhaseAssignment, TWO_PI, round_sig
 from .probability import (
     SUM_TOLERANCE,
     OutcomeSet,
@@ -175,21 +175,11 @@ class EntanglementReport:
             raise InvalidJointTable("witness must be present exactly for entangled verdicts")
 
     def to_json_dict(self) -> dict:
-        def vector_dict(p: ProbabilityVector) -> dict:
-            return {
-                label: {
-                    "value": float(x),
-                    "display": f"{float(x):.2f}",
-                    "exact": str(Fraction(x)) if is_exact_value(x) else None,
-                }
-                for label, x in zip(p.outcomes.labels, p.probs)
-            }
-
         return {
             "verdict": self.verdict,
             "marginals": {
-                "row": vector_dict(self.marginals.row),
-                "col": vector_dict(self.marginals.col),
+                "row": self.marginals.row.to_json_dict(),
+                "col": self.marginals.col.to_json_dict(),
             },
             "residual": float(self.residual),
             "residual_exact": str(self.residual) if is_exact_value(self.residual) else None,
@@ -223,24 +213,18 @@ class JointComplexVector:
     def moduli(self) -> tuple[float, ...]:
         return tuple(abs(a) for a in self.amplitudes)
 
-    def combined_labels(self) -> tuple[str, ...]:
-        joined = tuple(
-            r + c for r in self.row_outcomes.labels for c in self.col_outcomes.labels
-        )
-        if len(set(joined)) == len(joined):
-            return joined
-        return tuple(
-            f"{r}|{c}" for r in self.row_outcomes.labels for c in self.col_outcomes.labels
-        )
+    # The table's method reads only the two outcome sets, which this class shares.
+    combined_labels = JointTable.combined_labels
 
     def to_json_dict(self) -> dict:
-        sig = lambda x: float(f"{x:.12g}")
         return {
             "row_labels": list(self.row_outcomes.labels),
             "col_labels": list(self.col_outcomes.labels),
             "basis_labels": list(self.combined_labels()),
-            "amplitudes": [{"re": sig(a.real), "im": sig(a.imag)} for a in self.amplitudes],
-            "moduli": [sig(m) for m in self.moduli()],
+            "amplitudes": [
+                {"re": round_sig(a.real), "im": round_sig(a.imag)} for a in self.amplitudes
+            ],
+            "moduli": [round_sig(m) for m in self.moduli()],
             "phases": list(self.phases),
         }
 
@@ -322,6 +306,15 @@ def _max_minor(t: JointTable) -> Optional[MinorWitness]:
     return best
 
 
+def _residual(t: JointTable, marg: Marginals) -> Value:
+    """max |probs[j][k] - row[j] * col[k]|, the distance from the marginal outer product."""
+    return max(
+        abs(t.probs[j][k] - marg.row.probs[j] * marg.col.probs[k])
+        for j in range(t.n_rows)
+        for k in range(t.n_cols)
+    )
+
+
 def default_tolerance(t: JointTable) -> Value:
     """Zero for exact rational tables, FLOAT_TOLERANCE otherwise."""
     return Fraction(0) if t.is_exact else FLOAT_TOLERANCE
@@ -335,14 +328,12 @@ def is_product(t: JointTable, tol: Value | None = None) -> EntanglementReport:
     """
     if tol is None:
         tol = default_tolerance(t)
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, got {tol!r}")
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     marg = marginals(t)
-    residual: Value = max(
-        abs(t.probs[j][k] - marg.row.probs[j] * marg.col.probs[k])
-        for j in range(t.n_rows)
-        for k in range(t.n_cols)
-    )
+    residual = _residual(t, marg)
     arithmetic: Literal["exact", "float"] = "exact" if t.is_exact else "float"
     if residual <= tol:
         return EntanglementReport("product", marg, residual, None, tol, arithmetic)
@@ -359,27 +350,15 @@ def factorization_certificate(
 ) -> Optional[tuple[ProbabilityVector, ProbabilityVector]]:
     """The factor pair (row marginals, col marginals) when the table is a product.
 
-    Exact tables are decided exactly: a product iff every 2x2 minor vanishes.
-    Float tables use the default float tolerance on the outer-product residual.
-    A zero row or column never blocks the certificate; its marginal entry is
-    simply zero.
+    The test is the one `is_product` applies with its default tolerance: the
+    outer-product residual must be at most `default_tolerance(t)`, so exact
+    tables are certified exactly (every 2x2 minor vanishes, by the module
+    docstring) and float tables within FLOAT_TOLERANCE.  No witness is
+    searched for.  A zero row or column never blocks the certificate; its
+    marginal entry is simply zero.
     """
     marg = marginals(t)
-    if t.is_exact:
-        p = t.probs
-        for j in range(t.n_rows):
-            for j2 in range(j + 1, t.n_rows):
-                for k in range(t.n_cols):
-                    for k2 in range(k + 1, t.n_cols):
-                        if p[j][k] * p[j2][k2] != p[j][k2] * p[j2][k]:
-                            return None
-        return marg.row, marg.col
-    residual = max(
-        abs(float(t.probs[j][k]) - float(marg.row.probs[j]) * float(marg.col.probs[k]))
-        for j in range(t.n_rows)
-        for k in range(t.n_cols)
-    )
-    if residual <= FLOAT_TOLERANCE:
+    if _residual(t, marg) <= default_tolerance(t):
         return marg.row, marg.col
     return None
 

@@ -37,6 +37,15 @@ def display_rounded(x: Value, places: int = 2) -> str:
     return f"{float(x):.{places}f}"
 
 
+def value_entry(x: Value) -> dict:
+    """Report form of a probability: full float, two-decimal display, exact fraction."""
+    return {
+        "value": float(x),
+        "display": display_rounded(x),
+        "exact": str(Fraction(x)) if is_exact_value(x) else None,
+    }
+
+
 @dataclass(frozen=True)
 class OutcomeSet:
     """Ordered, distinct outcome labels; position j is the basis index of label j."""
@@ -127,6 +136,9 @@ class ProbabilityVector:
 
     def displayed(self, places: int = 2) -> tuple[str, ...]:
         return tuple(display_rounded(p, places) for p in self.probs)
+
+    def to_json_dict(self) -> dict:
+        return {label: value_entry(p) for label, p in zip(self.outcomes.labels, self.probs)}
 
 
 @dataclass(frozen=True)

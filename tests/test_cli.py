@@ -146,6 +146,16 @@ class TestScenarios:
         assert report["act"]["moduli"]["Whinnies"]["display"] == "0.72"
         assert report["joint"]["counts"] == [[4, 51], [21, 5]]
 
+    def test_animal_acts_float_decides_the_float_table(self, capsys):
+        report = run_json(capsys, "scenario", "animal-acts", "--float")
+        assert report["config"]["arithmetic"] == "float"
+        assert report["report"]["arithmetic"] == "float"
+        assert report["report"]["tolerance"] == 1e-9
+        assert report["report"]["verdict"] == "entangled"
+        assert report["report"]["witness"]["value_exact"] is None
+        assert report["report"]["witness"]["value"] == pytest.approx(-1051 / 6561)
+        assert report["joint"]["counts"] is None
+
     def test_vessels_connected(self, capsys):
         report = run_json(
             capsys,
@@ -243,6 +253,34 @@ class TestExitCodes:
         phases.write_text("{")
         code, _, err = run(capsys, "represent", str(f), "--phases", str(phases))
         assert code == 2
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_is_3(self, tmp_path, capsys, tolerance):
+        f = tmp_path / "joint.csv"
+        f.write_text(JOINT_CSV)
+        code, out, err = run(capsys, "entanglement", str(f), "--tolerance", tolerance)
+        assert code == 3
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["represent", "counts.csv", "--trials", "5"],
+            ["simulate", "counts.csv", "--tolerance", "0.1"],
+            ["scenario", "animal-acts", "--phases", "phases.json"],
+            ["entanglement", "joint.csv", "--exact"],
+        ],
+    )
+    def test_flag_of_another_subcommand_is_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "counts.csv").write_text(ANIMAL_CSV)
+        (tmp_path / "joint.csv").write_text(JOINT_CSV)
+        (tmp_path / "phases.json").write_text("{}")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", "out.json"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out.json").exists()
+        capsys.readouterr()
 
     def test_bad_flag_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,25 @@ def animal_acts_joint():
 
 def vessels_ideal():
     return JointTable(ROWS, COLS, ((0.0, 0.5), (0.5, 0.0)))
+
+
+def count_tables():
+    """Count tables up to 5x5, about half outer products; zero rows and columns occur."""
+
+    def cells(n, m):
+        row = st.lists(st.integers(0, 9), min_size=m, max_size=m)
+        return st.lists(row, min_size=n, max_size=n)
+
+    def outer(n, m):
+        vectors = st.tuples(
+            st.lists(st.integers(0, 6), min_size=n, max_size=n),
+            st.lists(st.integers(0, 6), min_size=m, max_size=m),
+        )
+        return vectors.map(lambda uv: [[a * b for b in uv[1]] for a in uv[0]])
+
+    shapes = st.tuples(st.integers(1, 5), st.integers(1, 5))
+    tables = shapes.flatmap(lambda s: st.one_of(cells(*s), outer(*s)))
+    return tables.filter(lambda c: sum(map(sum, c)) > 0)
 
 
 def distributions(n):
@@ -207,6 +227,13 @@ class TestIsProduct:
         with pytest.raises(ValueError):
             is_product(vessels_ideal(), tol=-1)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        product = JointTable.from_counts(ROWS, COLS, ((12, 4), (6, 2)))
+        for t in (product, animal_acts_joint()):
+            with pytest.raises(ValueError, match="finite"):
+                is_product(t, tol=tol)
+
     def test_report_json_shape(self):
         d = is_product(animal_acts_joint()).to_json_dict()
         assert d["verdict"] == "entangled"
@@ -263,6 +290,28 @@ class TestFactorizationCertificate:
         cert = factorization_certificate(t)
         assert cert is not None
         assert cert[0].probs == (Fraction(1), Fraction(0))
+
+    @settings(max_examples=200)
+    @given(count_tables())
+    def test_agrees_with_verdict_and_integer_minors(self, counts):
+        n, m = len(counts), len(counts[0])
+        t = JointTable.from_counts(
+            OutcomeSet(tuple(f"r{j}" for j in range(n))),
+            OutcomeSet(tuple(f"c{k}" for k in range(m))),
+            counts,
+        )
+        minors_vanish = all(
+            counts[j][k] * counts[j2][k2] == counts[j][k2] * counts[j2][k]
+            for j, j2 in combinations(range(n), 2)
+            for k, k2 in combinations(range(m), 2)
+        )
+        cert = factorization_certificate(t)
+        assert (cert is not None) == (is_product(t).verdict == "product") == minors_vanish
+        if cert is not None:
+            row, col = cert
+            assert all(
+                row.probs[j] * col.probs[k] == t.probs[j][k] for j in range(n) for k in range(m)
+            )
 
     def test_float_path_uses_tolerance(self):
         t = JointTable(ROWS, COLS, ((0.18, 0.42), (0.12, 0.28)))
