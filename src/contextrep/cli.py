@@ -23,7 +23,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -41,6 +40,7 @@ from .probability import (
     ContextId,
     CountTable,
     ProbabilityVector,
+    load_json,
     parse_counts_csv,
     parse_counts_json,
     probabilities_from_counts,
@@ -60,34 +60,6 @@ DEFAULT_TRIALS = 100_000
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Execution knobs embedded verbatim in every report; None when a flag is absent."""
-
-    tolerance: Optional[float] = None
-    arithmetic: Optional[str] = None  # "float" | None = table default
-    seed: Optional[int] = None
-    trials: Optional[int] = None
-    phases: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.tolerance is not None and not (self.tolerance >= 0):
-            raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
-        if self.trials is not None and self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.arithmetic not in (None, "float"):
-            raise ValueError(f"arithmetic must be 'float' or None, got {self.arithmetic!r}")
-
-    def as_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "arithmetic": self.arithmetic,
-            "seed": self.seed,
-            "trials": self.trials,
-            "phases": self.phases,
-        }
-
-
 def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -104,13 +76,7 @@ def _load_phases(path: Optional[str], labels: Sequence[str]) -> Optional[PhaseAs
     """The --phases file over the given basis labels; None when no file was named."""
     if path is None:
         return None
-    text = _read_text(path)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid phases JSON: {exc.msg}", line=exc.lineno, column=exc.colno
-        ) from None
+    data = load_json(_read_text(path), "phases")
     if not isinstance(data, dict):
         raise InvalidPhases("phases file must be a JSON object mapping labels to radians")
     return PhaseAssignment.from_mapping(data, labels)
@@ -124,12 +90,12 @@ def _moduli_entries(w: ComplexContextVector) -> dict:
     return {label: value_entry(mod) for label, mod in zip(w.outcomes.labels, w.moduli())}
 
 
-def _joint_sections(t: JointTable, cfg: RunConfig, table_key: str) -> dict:
+def _joint_sections(t: JointTable, cfg: dict, table_key: str) -> dict:
     """Table, verdict and joint vectors of a joint-table report, --float applied first."""
-    if cfg.arithmetic == "float" and t.is_exact:
+    if cfg["arithmetic"] == "float" and t.is_exact:
         t = JointTable(t.row_outcomes, t.col_outcomes, t.as_floats())
-    report = is_product(t, tol=cfg.tolerance)
-    real, w = build_joint_vectors(t, _load_phases(cfg.phases, t.combined_labels()))
+    report = is_product(t, tol=cfg["tolerance"])
+    real, w = build_joint_vectors(t, _load_phases(cfg["phases"], t.combined_labels()))
     return {
         table_key: {
             "rows": list(t.row_outcomes.labels),
@@ -150,10 +116,10 @@ def cmd_represent(args: argparse.Namespace) -> dict:
     counts = _parse_file(args.input, parse_counts_json, parse_counts_csv)
     p = probabilities_from_counts(counts)
     ctx = _context_for(args.input, "outcome-counts")
-    w = build_complex_context(p, ctx, phases=_load_phases(cfg.phases, counts.outcomes.labels))
+    w = build_complex_context(p, ctx, phases=_load_phases(cfg["phases"], counts.outcomes.labels))
     return {
         "command": "represent",
-        "config": cfg.as_dict(),
+        "config": cfg,
         "context": ctx.as_dict(),
         "counts": counts.as_mapping(),
         "total": counts.total,
@@ -170,8 +136,8 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     p = probabilities_from_counts(counts)
     ctx = _context_for(args.input, "outcome-counts")
     v = build_real_context(p, ctx)
-    trials = cfg.trials if cfg.trials is not None else DEFAULT_TRIALS
-    seed = cfg.seed if cfg.seed is not None else 0
+    trials = cfg["trials"] if cfg["trials"] is not None else DEFAULT_TRIALS
+    seed = cfg["seed"] if cfg["seed"] is not None else 0
     mc = monte_carlo_measurement(v, trials, seed)
     bounds = {
         label: 3.0 * math.sqrt(float(q) * (1.0 - float(q)) / trials)
@@ -185,7 +151,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     report = mc.to_json_dict()
     return {
         "command": "simulate",
-        "config": cfg.as_dict(),
+        "config": cfg,
         **report,
         "three_sigma_bounds": bounds,
         "pass": passed,
@@ -197,7 +163,7 @@ def cmd_entanglement(args: argparse.Namespace) -> dict:
     t = _parse_file(args.input, parse_joint_json, parse_joint_csv)
     return {
         "command": "entanglement",
-        "config": cfg.as_dict(),
+        "config": cfg,
         **_joint_sections(t, cfg, "table"),
     }
 
@@ -216,7 +182,7 @@ def cmd_scenario_animal_acts(args: argparse.Namespace) -> dict:
     tables = animal_acts_tables(dataset)
     return {
         "command": "scenario animal-acts",
-        "config": cfg.as_dict(),
+        "config": cfg,
         "animal": _poll_section(
             dataset.animal_counts, tables.animal, ContextId("animal-acts", "survey", "animal")
         ),
@@ -231,15 +197,15 @@ def cmd_scenario_vessels(args: argparse.Namespace) -> dict:
     cfg = _config_from(args)
     vessels_cfg = VesselsConfig(
         mode=args.mode,
-        trials=cfg.trials if cfg.trials is not None else DEFAULT_TRIALS,
-        seed=cfg.seed if cfg.seed is not None else 0,
+        trials=cfg["trials"] if cfg["trials"] is not None else DEFAULT_TRIALS,
+        seed=cfg["seed"] if cfg["seed"] is not None else 0,
         capacity=args.capacity,
         threshold=args.threshold,
     )
     outcome_counts = simulate_vessels(vessels_cfg)
     return {
         "command": "scenario vessels",
-        "config": cfg.as_dict(),
+        "config": cfg,
         "vessels": {
             "mode": vessels_cfg.mode,
             "trials": vessels_cfg.trials,
@@ -252,18 +218,24 @@ def cmd_scenario_vessels(args: argparse.Namespace) -> dict:
     }
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
+def _config_from(args: argparse.Namespace) -> dict:
+    """The report's `config` block: five keys, None where the subcommand lacks the flag."""
     arithmetic = "float" if getattr(args, "float", False) else None
     tolerance = getattr(args, "tolerance", None)
     if tolerance is None and arithmetic == "float":
         tolerance = FLOAT_TOLERANCE
-    return RunConfig(
-        tolerance=tolerance,
-        arithmetic=arithmetic,
-        seed=getattr(args, "seed", None),
-        trials=getattr(args, "trials", None),
-        phases=getattr(args, "phases", None),
-    )
+    if tolerance is not None and not (tolerance >= 0):
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    trials = getattr(args, "trials", None)
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return {
+        "tolerance": tolerance,
+        "arithmetic": arithmetic,
+        "seed": getattr(args, "seed", None),
+        "trials": trials,
+        "phases": getattr(args, "phases", None),
+    }
 
 
 #: Every optional flag a subcommand may take, by name.

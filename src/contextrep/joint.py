@@ -19,9 +19,6 @@ default tolerance.
 from __future__ import annotations
 
 import cmath
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +37,9 @@ from .probability import (
     OutcomeSet,
     ProbabilityVector,
     Value,
+    count_rows,
     is_exact_value,
+    load_json,
 )
 from .simplex import RealContextVector
 
@@ -75,10 +74,12 @@ class JointTable:
             raise InvalidJointTable(f"joint probabilities sum to {total!r}, not 1")
         if self.counts is not None:
             object.__setattr__(self, "counts", tuple(tuple(row) for row in self.counts))
+            if [len(row) for row in self.counts] != [self.col_outcomes.n] * self.row_outcomes.n:
+                raise InvalidJointTable("counts matrix shape must match the table")
             grand = sum(c for row in self.counts for c in row)
+            if grand < 1:
+                raise InvalidJointTable("total joint count must be at least 1")
             for j, row in enumerate(self.counts):
-                if len(self.counts) != self.row_outcomes.n or len(row) != self.col_outcomes.n:
-                    raise InvalidJointTable("counts matrix shape must match the table")
                 for k, c in enumerate(row):
                     if isinstance(c, bool) or not isinstance(c, int) or c < 0:
                         raise InvalidJointTable(f"count at ({j}, {k}) invalid: {c!r}")
@@ -324,7 +325,10 @@ def is_product(t: JointTable, tol: Value | None = None) -> EntanglementReport:
     """Decide whether the table is an outer product of its marginals.
 
     The residual is max |probs[j][k] - row[j] * col[k]|.  Entangled verdicts
-    carry the strongest 2x2 minor as an independently checkable witness.
+    carry the strongest 2x2 minor as an independently checkable witness.  With
+    every minor zero the table has rank one and equals its marginal outer
+    product, so it is a product even when float rounding leaves a residual above
+    `tol`; exact tables never do.
     """
     if tol is None:
         tol = default_tolerance(t)
@@ -335,14 +339,9 @@ def is_product(t: JointTable, tol: Value | None = None) -> EntanglementReport:
     marg = marginals(t)
     residual = _residual(t, marg)
     arithmetic: Literal["exact", "float"] = "exact" if t.is_exact else "float"
-    if residual <= tol:
-        return EntanglementReport("product", marg, residual, None, tol, arithmetic)
-    witness = _max_minor(t)
-    if witness is None:
-        # Rank-1 tables equal their marginal outer product, so a residual
-        # beyond tolerance guarantees some nonzero minor.
-        raise InvalidJointTable("residual exceeds tolerance but all minors vanish")
-    return EntanglementReport("entangled", marg, residual, witness, tol, arithmetic)
+    witness = None if residual <= tol else _max_minor(t)
+    verdict: Literal["product", "entangled"] = "product" if witness is None else "entangled"
+    return EntanglementReport(verdict, marg, residual, witness, tol, arithmetic)
 
 
 def factorization_certificate(
@@ -370,28 +369,10 @@ def factorization_certificate(
 
 
 def parse_joint_csv(text: str) -> JointTable:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty joint counts file", line=1) from None
-    if [h.strip() for h in header] != ["row_label", "col_label", "count"]:
-        raise ParseError(
-            f"expected header 'row_label,col_label,count', got {','.join(header)!r}", line=1
-        )
     rows: list[str] = []
     cols: list[str] = []
     cells: dict[tuple[str, str], int] = {}
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", line=reader.line_num)
-        r, c, raw = row[0], row[1], row[2].strip()
-        try:
-            count = int(raw)
-        except ValueError:
-            raise ParseError(f"count {raw!r} is not an integer", line=reader.line_num) from None
+    for r, c, count in count_rows(text, ("row_label", "col_label", "count"), "joint counts"):
         if (r, c) in cells:
             raise InvalidJointTable(f"duplicate cell ({r!r}, {c!r}) in joint counts")
         cells[(r, c)] = count
@@ -399,8 +380,6 @@ def parse_joint_csv(text: str) -> JointTable:
             rows.append(r)
         if c not in cols:
             cols.append(c)
-    if not cells:
-        raise ParseError("no count rows found", line=1)
     missing = [(r, c) for r in rows for c in cols if (r, c) not in cells]
     if missing:
         raise InvalidJointTable(f"joint counts are not rectangular; missing cells {missing!r}")
@@ -409,10 +388,7 @@ def parse_joint_csv(text: str) -> JointTable:
 
 
 def parse_joint_json(text: str) -> JointTable:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+    data = load_json(text)
     if not isinstance(data, dict) or not {"rows", "cols", "counts"} <= set(data):
         raise ParseError("JSON joint counts must be {rows: [...], cols: [...], counts: [[...]]}")
     rows, cols, counts = data["rows"], data["cols"], data["counts"]

@@ -17,7 +17,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Any, Iterator, Mapping, Union
 
 from .errors import InvalidCounts, InvalidDistribution, ParseError
 
@@ -167,38 +167,61 @@ def probabilities_from_counts(counts: CountTable) -> ProbabilityVector:
 
 
 # ---------------------------------------------------------------------------
+# Input rules shared by every count file: CSV rows of labels and a trailing
+# integer count, and JSON whose syntax errors carry their position.
+# ---------------------------------------------------------------------------
+
+
+def count_rows(text: str, header: tuple[str, ...], what: str) -> Iterator[tuple]:
+    """The rows of a count CSV as (*labels, count), streamed in file order.
+
+    Trimmed header cells must equal `header`; blank lines are skipped; other
+    rows need len(header) fields, the last a (trimmed) integer; labels stay
+    verbatim.  Errors carry line numbers; `what` names an empty file.
+    """
+    reader = csv.reader(io.StringIO(text))
+    first = next(reader, None)
+    if first is None:
+        raise ParseError(f"empty {what} file", line=1)
+    if [h.strip() for h in first] != list(header):
+        raise ParseError(f"expected header '{','.join(header)}', got {','.join(first)!r}", line=1)
+    found = False
+    for row in reader:
+        if not row:
+            continue
+        line, raw = reader.line_num, row[-1].strip()
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line)
+        try:
+            count = int(raw)
+        except ValueError:
+            raise ParseError(f"count {raw!r} is not an integer", line=line) from None
+        found = True
+        yield (*row[:-1], count)
+    if not found:
+        raise ParseError("no count rows found", line=1)
+
+
+def load_json(text: str, what: str = "", **kwargs) -> Any:
+    """json.loads(text, **kwargs), a syntax error raised as ParseError with its position."""
+    try:
+        return json.loads(text, **kwargs)
+    except json.JSONDecodeError as exc:
+        name = f"{what} JSON" if what else "JSON"
+        raise ParseError(f"invalid {name}: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+
+
+# ---------------------------------------------------------------------------
 # Counts ingestion: CSV with header `label,count`, or a JSON object
 # {label: count}.  Labels are preserved verbatim; duplicates are rejected.
 # ---------------------------------------------------------------------------
 
 
 def parse_counts_csv(text: str) -> CountTable:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty counts file", line=1) from None
-    if [h.strip() for h in header] != ["label", "count"]:
-        raise ParseError(f"expected header 'label,count', got {','.join(header)!r}", line=1)
-    labels: list[str] = []
-    counts: list[int] = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(f"expected 2 fields, got {len(row)}", line=reader.line_num)
-        label, raw = row[0], row[1].strip()
-        try:
-            count = int(raw)
-        except ValueError:
-            raise ParseError(f"count {raw!r} is not an integer", line=reader.line_num) from None
-        labels.append(label)
-        counts.append(count)
-    if not labels:
-        raise ParseError("no count rows found", line=1)
+    labels, counts = zip(*count_rows(text, ("label", "count"), "counts"))
     if len(set(labels)) != len(labels):
         raise InvalidCounts("duplicate labels in counts file")
-    return CountTable(OutcomeSet(tuple(labels)), tuple(counts))
+    return CountTable(OutcomeSet(labels), counts)
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
@@ -211,10 +234,7 @@ def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict[str, object]
 
 
 def parse_counts_json(text: str) -> CountTable:
-    try:
-        data = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+    data = load_json(text, object_pairs_hook=_reject_duplicate_keys)
     if not isinstance(data, dict):
         raise ParseError("JSON counts must be an object of the form {label: count}")
     for label, value in data.items():

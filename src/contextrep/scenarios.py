@@ -164,25 +164,24 @@ def simulate_vessels(cfg: VesselsConfig) -> VesselsOutcomeCounts:
     strictly on opposite sides of the threshold.
     """
     rng = np.random.default_rng(cfg.seed)
-    separate = cfg.mode == "separate"
+
+    def draw(size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Left then right volumes for `size` trials, in the RNG's stream order."""
+        left = rng.uniform(0.0, cfg.capacity, size)
+        if cfg.mode == "separate":
+            return left, rng.uniform(0.0, cfg.capacity, size)
+        return left, cfg.capacity - left
+
     mm = ml = lm = ll = 0
     remaining = cfg.trials
     while remaining:
         size = min(remaining, _SIMULATION_CHUNK)
         remaining -= size
-        left = rng.uniform(0.0, cfg.capacity, size)
-        if separate:
-            right = rng.uniform(0.0, cfg.capacity, size)
-        else:
-            right = cfg.capacity - left
+        left, right = draw(size)
         hits = (left == cfg.threshold) | (right == cfg.threshold)
         while hits.any():
             idx = np.flatnonzero(hits)
-            left[idx] = rng.uniform(0.0, cfg.capacity, idx.size)
-            if separate:
-                right[idx] = rng.uniform(0.0, cfg.capacity, idx.size)
-            else:
-                right[idx] = cfg.capacity - left[idx]
+            left[idx], right[idx] = draw(idx.size)
             hits = np.zeros(size, dtype=bool)
             hits[idx] = (left[idx] == cfg.threshold) | (right[idx] == cfg.threshold)
         left_more = left > cfg.threshold

@@ -131,6 +131,14 @@ class TestEntanglement:
         assert report["report"]["arithmetic"] == "float"
         assert report["report"]["verdict"] == "product"
 
+    def test_float_rank_one_table_at_zero_tolerance_is_product(self, tmp_path, capsys):
+        f = tmp_path / "prod.csv"
+        f.write_text("row_label,col_label,count\na,x,1\na,y,5\nb,x,2\nb,y,10\n")
+        report = run_json(capsys, "entanglement", str(f), "--float", "--tolerance", "0")
+        assert report["report"]["verdict"] == "product"
+        assert report["report"]["witness"] is None
+        assert report["report"]["residual"] > 0
+
     def test_explicit_tolerance(self, tmp_path, capsys):
         f = tmp_path / "joint.csv"
         f.write_text(JOINT_CSV)
@@ -253,6 +261,10 @@ class TestExitCodes:
         phases.write_text("{")
         code, _, err = run(capsys, "represent", str(f), "--phases", str(phases))
         assert code == 2
+        phases.write_text('{\n  "Horse": 0.5,\n}')
+        code, _, err = run(capsys, "represent", str(f), "--phases", str(phases))
+        assert code == 2
+        assert "invalid phases JSON" in err and "(line 3, column 1)" in err
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf"])
     def test_non_finite_tolerance_is_3(self, tmp_path, capsys, tolerance):
@@ -287,6 +299,38 @@ class TestExitCodes:
             main(["scenario", "vessels", "--mode", "sideways"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestConfigBlock:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["represent", "counts.csv", "--phases", "phases.json"],
+             [None, None, None, None, "phases.json"]),
+            (["simulate", "counts.csv", "--seed", "4", "--trials", "50"],
+             [None, None, 4, 50, None]),
+            (["entanglement", "joint.csv", "--float"], [1e-9, "float", None, None, None]),
+            (["scenario", "animal-acts", "--tolerance", "0.5"], [0.5, None, None, None, None]),
+            (["scenario", "vessels", "--mode", "separate", "--trials", "100", "--seed", "2",
+              "--float", "--tolerance", "0.25"], [0.25, "float", 2, 100, None]),
+        ],
+    )
+    def test_five_keys_in_order(self, tmp_path, monkeypatch, capsys, argv, expected):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "counts.csv").write_text(ANIMAL_CSV)
+        (tmp_path / "joint.csv").write_text(JOINT_CSV)
+        (tmp_path / "phases.json").write_text('{"Horse": 0.5}')
+        config = run_json(capsys, *argv)["config"]
+        assert list(config.items()) == list(
+            zip(["tolerance", "arithmetic", "seed", "trials", "phases"], expected)
+        )
+
+    def test_tolerance_refused_before_trials(self, capsys):
+        argv = ["scenario", "vessels", "--mode", "separate", "--trials", "0"]
+        code, out, err = run(capsys, *argv, "--tolerance=-1")
+        assert (code, out, err) == (3, "", "error: tolerance must be nonnegative, got -1.0\n")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", "error: trials must be at least 1, got 0\n")
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Joint tables, tensor products, marginals, and the product/entangled decision."""
 
+import itertools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -85,6 +86,10 @@ class TestJointTable:
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidJointTable):
             JointTable(ROWS, COLS, ((0.5, 0.5),))
+        half = ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2)))
+        for counts in ((), ((1, 0),), ((1, 0), (0,))):
+            with pytest.raises(InvalidJointTable, match="shape"):
+                JointTable(ROWS, COLS, half, counts=counts)
 
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidJointTable):
@@ -98,6 +103,8 @@ class TestJointTable:
                 ((Fraction(1, 2), Fraction(1, 2)), (Fraction(0), Fraction(0))),
                 counts=((1, 1), (1, 1)),
             )
+        with pytest.raises(InvalidJointTable, match="at least 1"):
+            JointTable(ROWS, COLS, ((0.25, 0.25), (0.25, 0.25)), counts=((0, 0), (0, 0)))
 
     def test_combined_labels_concatenate(self):
         t = animal_acts_joint()
@@ -227,6 +234,23 @@ class TestIsProduct:
         with pytest.raises(ValueError):
             is_product(vessels_ideal(), tol=-1)
 
+    def test_float_rank_one_table_is_product_despite_rounding(self):
+        """Every minor of a float outer product can vanish while the residual rounds above 0."""
+        t = JointTable.from_counts(ROWS, COLS, ((1, 5), (2, 10)))
+        report = is_product(JointTable(ROWS, COLS, t.as_floats()), tol=0)
+        assert report.verdict == "product"
+        assert report.witness is None
+        assert report.residual > 0
+        rounded = 0
+        for u0, u1, v0, v1 in itertools.product(range(1, 8), repeat=4):
+            counts = ((u0 * v0, u0 * v1), (u1 * v0, u1 * v1))
+            p = JointTable.from_counts(ROWS, COLS, counts).as_floats()
+            report = is_product(JointTable(ROWS, COLS, p), tol=0)
+            rank_one = p[0][0] * p[1][1] - p[0][1] * p[1][0] == 0
+            assert (report.verdict == "product") == (rank_one or report.residual == 0), counts
+            rounded += rank_one and report.residual > 0
+        assert rounded > 0
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_rejects_non_finite_tolerance(self, tol):
         product = JointTable.from_counts(ROWS, COLS, ((12, 4), (6, 2)))
@@ -339,11 +363,24 @@ class TestJointParsing:
     def test_csv_duplicate_cell(self):
         with pytest.raises(InvalidJointTable):
             parse_joint_csv("row_label,col_label,count\na,x,1\na,x,2\n")
+        # Rows are checked as they are read, so the duplicate wins over a later bad count.
+        with pytest.raises(InvalidJointTable):
+            parse_joint_csv("row_label,col_label,count\na,x,1\na,x,2\nb,y,oops\n")
+
+    @pytest.mark.parametrize(
+        "text", ["", "row_label,col_label,count\n", " row_label , col_label,count\n\n"]
+    )
+    def test_csv_without_rows(self, text):
+        with pytest.raises(ParseError):
+            parse_joint_csv(text)
 
     def test_csv_bad_count_has_line(self):
         with pytest.raises(ParseError) as exc:
             parse_joint_csv("row_label,col_label,count\na,x,oops\n")
         assert "line 2" in str(exc.value)
+        with pytest.raises(ParseError) as exc:
+            parse_joint_csv("row_label,col_label,count\na,x,1\n\na,y\n")
+        assert "expected 3 fields, got 2 (line 4)" in str(exc.value)
 
     def test_json_happy_path(self):
         t = parse_joint_json(

@@ -162,6 +162,8 @@ class TestParseCountsCsv:
     def test_empty_file(self):
         with pytest.raises(ParseError):
             parse_counts_csv("")
+        with pytest.raises(ParseError, match="no count rows"):
+            parse_counts_csv(" label , count \n\n")
 
 
 class TestParseCountsJson:
