@@ -87,7 +87,8 @@ class PhaseAssignment:
             a = float(a)
             if not math.isfinite(a):
                 raise InvalidPhases(f"phase {a!r} is not finite")
-            normalized.append(a % TWO_PI)
+            a %= TWO_PI
+            normalized.append(0.0 if a == TWO_PI else a)  # a tiny negative a rounds up to 2*pi
         object.__setattr__(self, "angles", tuple(normalized))
 
     def __len__(self) -> int:

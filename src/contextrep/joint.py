@@ -31,12 +31,12 @@ from .errors import (
     ParseError,
     UnsupportedFamily,
 )
-from .hilbert import NORM_TOLERANCE, ComplexContextVector, PhaseAssignment, TWO_PI, round_sig
+from .hilbert import NORM_TOLERANCE, ComplexContextVector, PhaseAssignment, round_sig
 from .probability import (
-    SUM_TOLERANCE,
     OutcomeSet,
     ProbabilityVector,
     Value,
+    check_simplex,
     count_rows,
     is_exact_value,
     load_json,
@@ -60,31 +60,23 @@ class JointTable:
         object.__setattr__(self, "probs", tuple(tuple(row) for row in self.probs))
         if len(self.probs) != self.row_outcomes.n:
             raise InvalidJointTable("one probability row per row outcome is required")
-        for row in self.probs:
-            if len(row) != self.col_outcomes.n:
-                raise InvalidJointTable("rows must all have one entry per column outcome")
-            for p in row:
-                if not (0 <= p <= 1):
-                    raise InvalidJointTable(f"joint probability {p!r} out of [0, 1]")
-        total = sum(p for row in self.probs for p in row)
-        if self.is_exact:
-            if total != 1:
-                raise InvalidJointTable(f"exact joint probabilities must sum to 1, got {total}")
-        elif abs(total - 1) > SUM_TOLERANCE:
-            raise InvalidJointTable(f"joint probabilities sum to {total!r}, not 1")
+        if any(len(row) != self.col_outcomes.n for row in self.probs):
+            raise InvalidJointTable("rows must all have one entry per column outcome")
+        check_simplex([p for r in self.probs for p in r], InvalidJointTable, "joint probabilities")
         if self.counts is not None:
             object.__setattr__(self, "counts", tuple(tuple(row) for row in self.counts))
             if [len(row) for row in self.counts] != [self.col_outcomes.n] * self.row_outcomes.n:
                 raise InvalidJointTable("counts matrix shape must match the table")
-            grand = sum(c for row in self.counts for c in row)
-            if grand < 1:
-                raise InvalidJointTable("total joint count must be at least 1")
             for j, row in enumerate(self.counts):
                 for k, c in enumerate(row):
                     if isinstance(c, bool) or not isinstance(c, int) or c < 0:
                         raise InvalidJointTable(f"count at ({j}, {k}) invalid: {c!r}")
-                    if self.probs[j][k] != Fraction(c, grand):
-                        raise InvalidJointTable("probabilities do not derive from the counts")
+            grand = sum(c for row in self.counts for c in row)
+            if grand < 1:
+                raise InvalidJointTable("total joint count must be at least 1")
+            if any(p != Fraction(c, grand) for prow, crow in zip(self.probs, self.counts)
+                   for p, c in zip(prow, crow)):
+                raise InvalidJointTable("probabilities do not derive from the counts")
 
     @property
     def n_rows(self) -> int:
@@ -201,7 +193,7 @@ class JointComplexVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", tuple(complex(a) for a in self.amplitudes))
-        object.__setattr__(self, "phases", tuple(float(a) % TWO_PI for a in self.phases))
+        object.__setattr__(self, "phases", PhaseAssignment(self.phases).angles)
         size = self.row_outcomes.n * self.col_outcomes.n
         if len(self.amplitudes) != size or len(self.phases) != size:
             raise InvalidJointTable(
@@ -248,7 +240,7 @@ def tensor_product_complex(
         for b in w2.amplitudes:
             prod = a * b
             amplitudes.append(prod)
-            phases.append(cmath.phase(prod) % TWO_PI if prod != 0 else 0.0)
+            phases.append(cmath.phase(prod) if prod != 0 else 0.0)
     return JointComplexVector(w1.outcomes, w2.outcomes, tuple(amplitudes), tuple(phases))
 
 

@@ -17,7 +17,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator, Mapping, Union
+from typing import Any, Iterator, Mapping, Sequence, Union
 
 from .errors import InvalidCounts, InvalidDistribution, ParseError
 
@@ -32,9 +32,25 @@ def is_exact_value(x: Value) -> bool:
     return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
 
 
-def display_rounded(x: Value, places: int = 2) -> str:
-    """Fixed-point display string, the rounding convention used in reports."""
-    return f"{float(x):.{places}f}"
+def display_rounded(x: Value) -> str:
+    """Two-decimal display string, the rounding convention used in reports."""
+    return f"{float(x):.2f}"
+
+
+def check_simplex(values: Sequence[Value], error: type[Exception], what: str) -> None:
+    """Raise `error` unless the entries, named `what`, lie in [0, 1] and sum to 1.
+
+    Exact entries must sum to 1 exactly, floats within SUM_TOLERANCE.
+    """
+    for i, x in enumerate(values):
+        if not (0 <= x <= 1):
+            raise error(f"{what}[{i}] = {x!r} out of [0, 1]")
+    total = sum(values)
+    if all(is_exact_value(x) for x in values):
+        if total != 1:
+            raise error(f"exact {what} must sum to 1, got {total}")
+    elif abs(total - 1) > SUM_TOLERANCE:
+        raise error(f"{what} sum to {total!r}, not 1")
 
 
 def value_entry(x: Value) -> dict:
@@ -111,15 +127,7 @@ class ProbabilityVector:
         object.__setattr__(self, "probs", tuple(self.probs))
         if len(self.probs) != self.outcomes.n:
             raise InvalidDistribution("one probability per outcome label is required")
-        for label, p in zip(self.outcomes.labels, self.probs):
-            if not (0 <= p <= 1):
-                raise InvalidDistribution(f"probability for {label!r} out of [0, 1]: {p!r}")
-        total = sum(self.probs)
-        if self.is_exact:
-            if total != 1:
-                raise InvalidDistribution(f"exact probabilities must sum to 1, got {total}")
-        elif abs(total - 1) > SUM_TOLERANCE:
-            raise InvalidDistribution(f"probabilities sum to {total!r}, not 1")
+        check_simplex(self.probs, InvalidDistribution, "probabilities")
 
     @property
     def is_exact(self) -> bool:
@@ -134,8 +142,8 @@ class ProbabilityVector:
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(p) for p in self.probs)
 
-    def displayed(self, places: int = 2) -> tuple[str, ...]:
-        return tuple(display_rounded(p, places) for p in self.probs)
+    def displayed(self) -> tuple[str, ...]:
+        return tuple(display_rounded(p) for p in self.probs)
 
     def to_json_dict(self) -> dict:
         return {label: value_entry(p) for label, p in zip(self.outcomes.labels, self.probs)}

@@ -20,12 +20,11 @@ import numpy as np
 from .errors import InvalidCounts
 from .joint import JointTable
 from .probability import CountTable, OutcomeSet, ProbabilityVector, probabilities_from_counts
+from .simplex import trial_chunks
 
 ANIMAL_OUTCOMES = OutcomeSet(("Horse", "Bear"))
 ACT_OUTCOMES = OutcomeSet(("Growls", "Whinnies"))
 VESSEL_OUTCOMES = OutcomeSet(("M", "L"))
-
-_SIMULATION_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -173,10 +172,7 @@ def simulate_vessels(cfg: VesselsConfig) -> VesselsOutcomeCounts:
         return left, cfg.capacity - left
 
     mm = ml = lm = ll = 0
-    remaining = cfg.trials
-    while remaining:
-        size = min(remaining, _SIMULATION_CHUNK)
-        remaining -= size
+    for size in trial_chunks(cfg.trials):
         left, right = draw(size)
         hits = (left == cfg.threshold) | (right == cfg.threshold)
         while hits.any():

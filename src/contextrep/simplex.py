@@ -20,6 +20,9 @@ For v_k = 0 the region A_k is degenerate (measure zero): the ratio is +inf
 when lambda_k > 0, and when lambda_k = 0 the index only joins a boundary tie,
 so a forbidden outcome is never emitted.
 
+One kernel, `_classify_batch`, applies this rule: `classify_hidden_variable`
+runs it on one point and `monte_carlo_measurement` on each batch of draws.
+
 Region measure
 --------------
 Replacing vertex h_j by v scales the simplex volume by the j-th barycentric
@@ -30,19 +33,18 @@ of lambda therefore reproduces the outcome probabilities, which is what
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .errors import InvalidHiddenVariable
 from .probability import (
-    SUM_TOLERANCE,
     ContextId,
     OutcomeSet,
     ProbabilityVector,
     Value,
+    check_simplex,
     is_exact_value,
 )
 
@@ -89,11 +91,7 @@ class HiddenVariable:
         object.__setattr__(self, "coords", tuple(float(x) for x in self.coords))
         if not self.coords:
             raise InvalidHiddenVariable("hidden variable needs at least one coordinate")
-        for x in self.coords:
-            if not (0.0 <= x <= 1.0) or math.isnan(x):
-                raise InvalidHiddenVariable(f"coordinate {x!r} outside [0, 1]")
-        if abs(sum(self.coords) - 1.0) > SUM_TOLERANCE:
-            raise InvalidHiddenVariable(f"coordinates sum to {sum(self.coords)!r}, not 1")
+        check_simplex(self.coords, InvalidHiddenVariable, "coordinates")
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -147,11 +145,8 @@ def classify_hidden_variable(
         raise InvalidHiddenVariable(
             f"hidden variable has {len(lam)} coordinates, context has {v.n} outcomes"
         )
-    values = v.as_floats()
-    finite = [(lam.coords[k] / values[k], k) for k in range(v.n) if values[k] > 0.0]
-    best = min(r for r, _ in finite)
-    tied = [k for r, k in finite if r <= best + tol]
-    tied += [k for k in range(v.n) if values[k] == 0.0 and lam.coords[k] == 0.0]
+    _, ties = _classify_batch(np.array(v.as_floats()), np.array([lam.coords]), tol)
+    tied = np.flatnonzero(ties[0]).tolist()
     if len(tied) == 1:
         return Deterministic(tied[0])
     return Boundary(tuple(tied))
@@ -187,18 +182,27 @@ def _sample_simplex(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     return g / g.sum(axis=1, keepdims=True)
 
 
+def trial_chunks(trials: int) -> Iterator[int]:
+    """Batch sizes summing to `trials`, 2^18 at most: every simulation draws in these."""
+    chunk = 1 << 18
+    for start in range(0, trials, chunk):
+        yield min(chunk, trials - start)
+
+
 def _classify_batch(
     values: np.ndarray, lam: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ratio rule: (winning index per row, boundary mask per row)."""
+    """The ratio rule per row of `lam`: (argmin index, tie mask).
+
+    The mask holds each index whose ratio lambda_k / v_k is within `tol` of the
+    row minimum, and each 0/0 entry (forbidden outcome, coordinate exactly zero),
+    which only ever ties.  A row with more than one index masked is a boundary.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(values > 0.0, lam / values, np.inf)
-    # 0/0 entries (forbidden outcome, coordinate exactly zero) only ever tie.
-    zero_zero = (values == 0.0) & (lam == 0.0)
-    best = ratios.min(axis=1)
-    ties = (ratios <= best[:, None] + tol).sum(axis=1)
-    boundary = (ties > 1) | zero_zero.any(axis=1)
-    return ratios.argmin(axis=1), boundary
+    best = ratios.min(axis=1, keepdims=True)
+    ties = (ratios <= best + tol) | ((values == 0.0) & (lam == 0.0))
+    return ratios.argmin(axis=1), ties
 
 
 @dataclass(frozen=True)
@@ -241,7 +245,6 @@ def monte_carlo_measurement(
     v: RealContextVector,
     trials: int,
     seed: int,
-    tol: float = BOUNDARY_TOLERANCE,
 ) -> MonteCarloMeasurement:
     """Simulate the measurement by classifying uniform hidden variables.
 
@@ -254,16 +257,12 @@ def monte_carlo_measurement(
     values = np.array(v.as_floats())
     counts = np.zeros(v.n, dtype=np.int64)
     boundary_hits = 0
-    # Chunked so huge trial counts keep a flat memory profile.
-    chunk = 1 << 18
-    remaining = trials
-    while remaining > 0:
-        size = min(chunk, remaining)
+    for size in trial_chunks(trials):
         lam = _sample_simplex(rng, size, v.n)
-        winners, boundary = _classify_batch(values, lam, tol)
+        winners, ties = _classify_batch(values, lam, BOUNDARY_TOLERANCE)
+        boundary = ties.sum(axis=1) > 1
         counts += np.bincount(winners[~boundary], minlength=v.n)
         boundary_hits += int(boundary.sum())
-        remaining -= size
     if boundary_hits == trials:
         raise InvalidHiddenVariable("every trial hit a region boundary; no frequencies")
     return MonteCarloMeasurement(

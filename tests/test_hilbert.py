@@ -84,6 +84,10 @@ class TestPhaseAssignment:
         assert pa.angles[0] == pytest.approx(0.5)
         assert pa.angles[1] == pytest.approx(2 * math.pi - 0.5)
 
+    def test_tiny_negative_angle_wraps_to_zero(self):
+        """-1e-20 % 2pi rounds to 2pi itself; the stored angle stays below 2pi."""
+        assert PhaseAssignment((-1e-20,)).angles == (0.0,)
+
     def test_from_mapping_defaults_missing_to_zero(self):
         pa = PhaseAssignment.from_mapping({"b": 1.0}, labels=("a", "b"))
         assert pa.angles == (0.0, 1.0)

@@ -105,6 +105,8 @@ class TestJointTable:
             )
         with pytest.raises(InvalidJointTable, match="at least 1"):
             JointTable(ROWS, COLS, ((0.25, 0.25), (0.25, 0.25)), counts=((0, 0), (0, 0)))
+        with pytest.raises(InvalidJointTable, match="invalid"):
+            JointTable(ROWS, COLS, ((0.25, 0.25), (0.25, 0.25)), counts=(("1", 1), (1, 1)))
 
     def test_combined_labels_concatenate(self):
         t = animal_acts_joint()
@@ -160,6 +162,12 @@ class TestTensorProduct:
         joint = tensor_product_complex(w1, w2)
         assert abs(joint.amplitudes[0]) == pytest.approx(0.5)
         assert joint.phases[0] == pytest.approx(0.7)
+
+    def test_complex_phases_summing_to_two_pi_are_zero(self):
+        """pi + pi gives the product a phase of -2.4e-16, stored as 0, not 2pi."""
+        p = ProbabilityVector(ROWS, (Fraction(1, 2), Fraction(1, 2)))
+        w = build_complex_context(p, CTX, phases=PhaseAssignment((math.pi, 0.0)))
+        assert tensor_product_complex(w, w).phases == (0.0, math.pi, math.pi, 0.0)
 
     def test_complex_requires_rank_one(self):
         p = ProbabilityVector(ROWS, (Fraction(1, 2), Fraction(1, 2)))

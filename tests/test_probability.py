@@ -122,9 +122,6 @@ class TestDisplayRounded:
         assert display_rounded(Fraction(5, 81)) == "0.06"
         assert display_rounded(0.5) == "0.50"
 
-    def test_other_places(self):
-        assert display_rounded(Fraction(1, 3), places=4) == "0.3333"
-
 
 class TestContextId:
     def test_as_dict(self):

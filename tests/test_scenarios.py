@@ -203,3 +203,24 @@ class TestVesselsJointTable:
         counts = simulate_vessels(VesselsConfig(mode="separate", trials=1_000_000, seed=3))
         report = is_product(vessels_joint_table(counts))
         assert float(report.residual) <= 0.005
+
+
+#: simulate_vessels tallies (MM, ML, LM, LL), recorded before the trial batching
+#: was shared with Monte Carlo; 300,000 trials span two 2^18-trial batches.
+PINNED_VESSELS = {
+    ("separate", 1000, 0): (244, 283, 222, 251),
+    ("separate", 1000, 7): (246, 252, 243, 259),
+    ("separate", 300000, 0): (74928, 74779, 75239, 75054),
+    ("separate", 300000, 7): (75189, 75116, 74762, 74933),
+    ("connected", 1000, 0): (0, 527, 473, 0),
+    ("connected", 1000, 7): (0, 498, 502, 0),
+    ("connected", 300000, 0): (0, 149563, 150437, 0),
+    ("connected", 300000, 7): (0, 150332, 149668, 0),
+}
+
+
+class TestVesselsSeedContract:
+    @pytest.mark.parametrize("mode, trials, seed", sorted(PINNED_VESSELS))
+    def test_counts_pinned(self, mode, trials, seed):
+        c = simulate_vessels(VesselsConfig(mode, trials, seed))
+        assert (c.mm, c.ml, c.lm, c.ll) == PINNED_VESSELS[mode, trials, seed]

@@ -220,3 +220,71 @@ class TestMonteCarloMeasurement:
         v = make_context((0.5, 0.5))
         with pytest.raises(ValueError):
             monte_carlo_measurement(v, trials=0, seed=0)
+
+
+#: Counts and boundary hits of monte_carlo_measurement, recorded before the
+#: ratio rule and the trial batching were rewritten.  1,000 trials fit in one
+#: 2^18-row batch and 300,000 trials span two, so both sides of a batch edge
+#: are pinned.  (case, trials, seed) -> (counts, boundary_hits).
+PINNED_MONTE_CARLO = {
+    ("n2", 1000, 0): ((531, 469), 0),
+    ("n2", 1000, 7): ((548, 452), 0),
+    ("n2", 300000, 0): ((159119, 140881), 0),
+    ("n2", 300000, 7): ((159453, 140547), 0),
+    ("n8", 1000, 0): ((135, 0, 246, 121, 0, 121, 255, 122), 0),
+    ("n8", 1000, 7): ((114, 0, 261, 129, 0, 118, 243, 135), 0),
+    ("n8", 300000, 0): ((37593, 0, 75037, 37452, 0, 37528, 75088, 37302), 0),
+    ("n8", 300000, 7): ((37377, 0, 75354, 37637, 0, 37285, 74665, 37682), 0),
+    ("n32", 1000, 0): ((4, 5, 5, 12, 8, 11, 9, 15, 18, 20, 21, 22, 29, 30, 25, 33, 32, 36,
+                        37, 44, 42, 46, 35, 37, 46, 48, 52, 50, 68, 51, 54, 55), 0),
+    ("n32", 1000, 7): ((0, 4, 8, 6, 11, 11, 14, 13, 13, 17, 22, 23, 23, 18, 25, 40, 26, 39,
+                        37, 44, 32, 44, 47, 48, 41, 49, 65, 49, 48, 65, 52, 66), 0),
+    ("n32", 300000, 0): ((580, 1198, 1668, 2284, 2807, 3479, 3945, 4592, 5192, 5672, 6288,
+                          6926, 7463, 7992, 8573, 9038, 9595, 10125, 10841, 11489, 11885,
+                          12530, 13037, 13563, 14188, 14796, 15294, 15715, 16357, 17134,
+                          17770, 17984), 0),
+    ("n32", 300000, 7): ((577, 1107, 1691, 2221, 2791, 3354, 3949, 4595, 4990, 5631, 6311,
+                          6971, 7366, 7928, 8442, 9156, 9683, 10269, 10692, 11552, 11738,
+                          12422, 13408, 13570, 14278, 14519, 15296, 15954, 16351, 17036,
+                          17709, 18443), 0),
+}
+
+#: Integer weights of each pinned context; n8 has two zero-probability outcomes.
+PINNED_WEIGHTS = {
+    "n2": (43, 38),
+    "n8": (1, 0, 2, 1, 0, 1, 2, 1),
+    "n32": tuple(range(1, 33)),
+}
+
+
+def weighted_context(weights):
+    total = sum(weights)
+    return make_context(tuple(Fraction(w, total) for w in weights))
+
+
+class TestSeedContract:
+    @pytest.mark.parametrize("case, trials, seed", sorted(PINNED_MONTE_CARLO))
+    def test_counts_pinned(self, case, trials, seed):
+        """The same seed gives the same counts and boundary hits as before."""
+        mc = monte_carlo_measurement(weighted_context(PINNED_WEIGHTS[case]), trials, seed)
+        assert (mc.counts, mc.boundary_hits) == PINNED_MONTE_CARLO[case, trials, seed]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.integers(0, 5), min_size=1, max_size=6).filter(any),
+        st.integers(1, 400),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_public_classifier(self, weights, trials, seed):
+        """Monte Carlo tallies what classify_hidden_variable says of each drawn point."""
+        v = weighted_context(weights)
+        counts = [0] * v.n
+        boundary_hits = 0
+        for row in sample_hidden_variables(v.n, trials, seed):
+            result = classify_hidden_variable(v, tuple(row))
+            if isinstance(result, Deterministic):
+                counts[result.outcome] += 1
+            else:
+                boundary_hits += 1
+        mc = monte_carlo_measurement(v, trials, seed)
+        assert (mc.counts, mc.boundary_hits) == (tuple(counts), boundary_hits)
