@@ -20,6 +20,8 @@ Exit codes: 0 success, 2 unreadable or unparseable input, 3 semantic error
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -148,11 +150,10 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
         abs(f - float(q)) <= bounds[label]
         for label, f, q in zip(counts.outcomes.labels, freqs, p.probs)
     )
-    report = mc.to_json_dict()
     return {
         "command": "simulate",
         "config": cfg,
-        **report,
+        **mc.to_json_dict(),
         "three_sigma_bounds": bounds,
         "pass": passed,
     }
@@ -206,13 +207,7 @@ def cmd_scenario_vessels(args: argparse.Namespace) -> dict:
     return {
         "command": "scenario vessels",
         "config": cfg,
-        "vessels": {
-            "mode": vessels_cfg.mode,
-            "trials": vessels_cfg.trials,
-            "seed": vessels_cfg.seed,
-            "capacity": vessels_cfg.capacity,
-            "threshold": vessels_cfg.threshold,
-        },
+        "vessels": dataclasses.asdict(vessels_cfg),
         "outcome_counts": outcome_counts.as_mapping(),
         **_joint_sections(vessels_joint_table(outcome_counts), cfg, "joint"),
     }
@@ -263,6 +258,7 @@ def _add_subcommand(sub, name: str, handler, summary: str, *flags: str) -> argpa
     return parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contextrep",
@@ -312,8 +308,7 @@ def _emit(report: dict, output: Optional[str]) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         report = args.handler(args)
         _emit(report, args.output)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import FamilyMismatch, InvalidFamily, InvalidPhases
-from .probability import ContextId, OutcomeSet, ProbabilityVector
+from .probability import ContextId, OutcomeSet, ProbabilityVector, is_integer
 
 #: Allowed deviation from exact unit norm / exact block weight.
 NORM_TOLERANCE = 1e-12
@@ -53,7 +53,7 @@ class BlockSpectralFamily:
             if not 1 <= len(block) <= n:
                 raise InvalidFamily(f"block {k} has size {len(block)}, allowed 1..{n}")
             for j in block:
-                if not (isinstance(j, int) and 0 <= j < self.m):
+                if not (is_integer(j) and 0 <= j < self.m):
                     raise InvalidFamily(f"block {k} holds invalid ambient index {j!r}")
                 if j in seen:
                     raise InvalidFamily(f"ambient index {j} appears in two blocks")

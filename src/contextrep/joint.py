@@ -37,8 +37,10 @@ from .probability import (
     ProbabilityVector,
     Value,
     check_simplex,
+    count_matrix,
     count_rows,
     is_exact_value,
+    is_integer,
     load_json,
 )
 from .simplex import RealContextVector
@@ -64,16 +66,8 @@ class JointTable:
             raise InvalidJointTable("rows must all have one entry per column outcome")
         check_simplex([p for r in self.probs for p in r], InvalidJointTable, "joint probabilities")
         if self.counts is not None:
-            object.__setattr__(self, "counts", tuple(tuple(row) for row in self.counts))
-            if [len(row) for row in self.counts] != [self.col_outcomes.n] * self.row_outcomes.n:
-                raise InvalidJointTable("counts matrix shape must match the table")
-            for j, row in enumerate(self.counts):
-                for k, c in enumerate(row):
-                    if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-                        raise InvalidJointTable(f"count at ({j}, {k}) invalid: {c!r}")
-            grand = sum(c for row in self.counts for c in row)
-            if grand < 1:
-                raise InvalidJointTable("total joint count must be at least 1")
+            counts, grand = count_matrix(self.counts, self.n_rows, self.n_cols, InvalidJointTable)
+            object.__setattr__(self, "counts", counts)
             if any(p != Fraction(c, grand) for prow, crow in zip(self.probs, self.counts)
                    for p, c in zip(prow, crow)):
                 raise InvalidJointTable("probabilities do not derive from the counts")
@@ -111,10 +105,7 @@ class JointTable:
         col_outcomes: OutcomeSet,
         counts: Sequence[Sequence[int]],
     ) -> "JointTable":
-        counts = tuple(tuple(row) for row in counts)
-        total = sum(c for row in counts for c in row)
-        if total < 1:
-            raise InvalidCounts("total joint count must be at least 1")
+        counts, total = count_matrix(counts, row_outcomes.n, col_outcomes.n, InvalidCounts)
         probs = tuple(tuple(Fraction(c, total) for c in row) for row in counts)
         return cls(row_outcomes, col_outcomes, probs, counts)
 
@@ -392,6 +383,6 @@ def parse_joint_json(text: str) -> JointTable:
         raise InvalidJointTable("counts matrix shape must be len(rows) x len(cols)")
     for row in counts:
         for c in row:
-            if isinstance(c, bool) or not isinstance(c, int):
+            if not is_integer(c):
                 raise ParseError(f"joint count {c!r} is not an integer")
     return JointTable.from_counts(OutcomeSet(tuple(rows)), OutcomeSet(tuple(cols)), counts)

@@ -27,9 +27,35 @@ Value = Union[Fraction, int, float]
 SUM_TOLERANCE = 1e-12
 
 
+def is_integer(x: object) -> bool:
+    """True for a Python int that is not a bool: the type half of the count rule."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def is_exact_value(x: Value) -> bool:
     """True for entries carried exactly (Fraction or int, never bool)."""
-    return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
+    return isinstance(x, Fraction) or is_integer(x)
+
+
+def check_count(c: object, error: type[Exception], what: str) -> None:
+    """Raise `error` unless the count `c`, named `what`, is a nonnegative integer."""
+    if not is_integer(c) or c < 0:
+        raise error(f"invalid {what}: {c!r} is not a nonnegative integer")
+
+
+def count_matrix(counts: Sequence[Sequence[int]], n_rows: int, n_cols: int,
+                 error: type[Exception]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows as tuples, total); `error` unless an n_rows x n_cols count matrix totals >= 1."""
+    rows = tuple(tuple(row) for row in counts)
+    if [len(row) for row in rows] != [n_cols] * n_rows:
+        raise error(f"counts matrix shape must be {n_rows} x {n_cols}")
+    for j, row in enumerate(rows):
+        for k, c in enumerate(row):
+            check_count(c, error, f"count at cell ({j}, {k})")
+    total = sum(map(sum, rows))
+    if total < 1:
+        raise error("total count must be at least 1")
+    return rows, total
 
 
 def display_rounded(x: Value) -> str:
@@ -97,10 +123,7 @@ class CountTable:
         if len(self.counts) != self.outcomes.n:
             raise InvalidCounts("one count per outcome label is required")
         for label, c in zip(self.outcomes.labels, self.counts):
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise InvalidCounts(f"count for {label!r} must be an integer, got {c!r}")
-            if c < 0:
-                raise InvalidCounts(f"count for {label!r} is negative: {c}")
+            check_count(c, InvalidCounts, f"count for {label!r}")
         if self.total < 1:
             raise InvalidCounts("total count must be at least 1")
 
@@ -246,6 +269,6 @@ def parse_counts_json(text: str) -> CountTable:
     if not isinstance(data, dict):
         raise ParseError("JSON counts must be an object of the form {label: count}")
     for label, value in data.items():
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_integer(value):
             raise ParseError(f"count for {label!r} must be an integer, got {value!r}")
     return CountTable.from_mapping(data)  # type: ignore[arg-type]

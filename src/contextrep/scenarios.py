@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import InvalidCounts
 from .joint import JointTable
-from .probability import CountTable, OutcomeSet, ProbabilityVector, probabilities_from_counts
+from .probability import (CountTable, OutcomeSet, ProbabilityVector, check_count, count_matrix,
+                          is_integer, probabilities_from_counts)
 from .simplex import trial_chunks
 
 ANIMAL_OUTCOMES = OutcomeSet(("Horse", "Bear"))
@@ -39,18 +40,9 @@ class AnimalActsDataset:
     joint_counts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "joint_counts", tuple(tuple(row) for row in self.joint_counts)
-        )
-        if len(self.joint_counts) != self.animal_counts.outcomes.n or any(
-            len(row) != self.act_counts.outcomes.n for row in self.joint_counts
-        ):
-            raise InvalidCounts("joint counts shape must match the marginal outcome sets")
-        for row in self.joint_counts:
-            for c in row:
-                if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-                    raise InvalidCounts(f"joint count {c!r} must be a nonnegative integer")
-        joint_total = sum(c for row in self.joint_counts for c in row)
+        joint_counts, joint_total = count_matrix(self.joint_counts, self.animal_counts.outcomes.n,
+                                                 self.act_counts.outcomes.n, InvalidCounts)
+        object.__setattr__(self, "joint_counts", joint_counts)
         if not (self.animal_counts.total == self.act_counts.total == joint_total):
             raise InvalidCounts(
                 "marginal and joint experiments must poll the same number of participants"
@@ -116,9 +108,9 @@ class VesselsConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("separate", "connected"):
             raise ValueError(f"mode must be 'separate' or 'connected', got {self.mode!r}")
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
+        if not is_integer(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+        if not is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         object.__setattr__(self, "capacity", float(self.capacity))
         object.__setattr__(self, "threshold", float(self.threshold))
@@ -140,9 +132,7 @@ class VesselsOutcomeCounts:
 
     def __post_init__(self) -> None:
         for name in ("mm", "ml", "lm", "ll"):
-            c = getattr(self, name)
-            if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-                raise InvalidCounts(f"{name} count must be a nonnegative integer, got {c!r}")
+            check_count(getattr(self, name), InvalidCounts, f"{name} count")
 
     @property
     def total(self) -> int:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from contextrep.cli import main
+from contextrep.cli import _build_parser, main
 
 ANIMAL_CSV = "label,count\nHorse,43\nBear,38\n"
 ACT_JSON = '{"Growls": 39, "Whinnies": 42}'
@@ -246,6 +246,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "entanglement", str(f))
         assert code == 3
 
+    def test_negative_joint_count_is_3_and_named(self, tmp_path, capsys):
+        f = tmp_path / "neg.csv"
+        f.write_text("row_label,col_label,count\nr,c,-1\nr,d,2\ns,c,1\ns,d,1\n")
+        code, out, err = run(capsys, "entanglement", str(f))
+        assert (code, out) == (3, "")
+        assert err == "error: invalid count at cell (0, 0): -1 is not a nonnegative integer\n"
+
+    def test_negative_json_count_is_3_and_bool_is_2(self, tmp_path, capsys):
+        f = tmp_path / "neg.json"
+        f.write_text('{"a": 3, "b": -1}')
+        code, _, err = run(capsys, "represent", str(f))
+        assert code == 3
+        assert "invalid count for 'b': -1" in err
+        f.write_text('{"rows": ["r"], "cols": ["c"], "counts": [[true]]}')
+        code, _, err = run(capsys, "entanglement", str(f))
+        assert code == 2
+        assert "joint count True is not an integer" in err
+
     def test_unknown_phase_label_is_3(self, tmp_path, capsys):
         f = tmp_path / "animal.csv"
         f.write_text(ANIMAL_CSV)
@@ -331,6 +349,33 @@ class TestConfigBlock:
         assert (code, out, err) == (3, "", "error: tolerance must be nonnegative, got -1.0\n")
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (3, "", "error: trials must be at least 1, got 0\n")
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["entanglement", "joint.csv", "--float"], ["entanglement", "joint.csv"]),
+            (["simulate", "counts.csv", "--seed", "5", "--trials", "40"],
+             ["simulate", "counts.csv"]),
+        ],
+    )
+    def test_second_call_sees_no_flag_of_the_first(
+        self, tmp_path, monkeypatch, capsys, first, second
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "counts.csv").write_text(ANIMAL_CSV)
+        (tmp_path / "joint.csv").write_text(JOINT_CSV)
+        run_json(capsys, *first)
+        report = run_json(capsys, *second)
+        assert list(report["config"].values()) == [None] * 5
+        if second[0] == "entanglement":
+            assert report["report"]["arithmetic"] == "exact"
+        else:
+            assert (report["trials"], report["seed"]) == (100_000, 0)
 
 
 class TestDeterminism:

@@ -72,6 +72,11 @@ class TestBlockSpectralFamily:
         with pytest.raises(InvalidFamily):
             BlockSpectralFamily(3, ((0,), (2,)))
 
+    @pytest.mark.parametrize("blocks", [((False,), (True,)), ((0,), (1.0,))])
+    def test_rejects_non_integer_index(self, blocks):
+        with pytest.raises(InvalidFamily, match="invalid ambient index"):
+            BlockSpectralFamily(2, blocks)
+
     def test_accepts_maximal_dimension(self):
         fam = BlockSpectralFamily(4, ((0, 1), (2, 3)))
         assert fam.n_blocks == 2

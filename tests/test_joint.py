@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from contextrep import (
     BlockSpectralFamily,
     ContextId,
+    InvalidCounts,
     InvalidJointTable,
     JointTable,
     OutcomeSet,
@@ -107,6 +108,21 @@ class TestJointTable:
             JointTable(ROWS, COLS, ((0.25, 0.25), (0.25, 0.25)), counts=((0, 0), (0, 0)))
         with pytest.raises(InvalidJointTable, match="invalid"):
             JointTable(ROWS, COLS, ((0.25, 0.25), (0.25, 0.25)), counts=(("1", 1), (1, 1)))
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ((("1", 1), (1, 1)), r"cell \(0, 0\): '1'"),
+            (((1.5, 1), (1, 1)), r"cell \(0, 0\): 1.5"),
+            (((1, 1), (True, 1)), r"cell \(1, 0\): True"),
+            (((-1, 2), (1, 1)), r"cell \(0, 0\): -1"),
+            (((1, 1), (1,)), "shape"),
+            (((0, 0), (0, 0)), "at least 1"),
+        ],
+    )
+    def test_from_counts_refuses_bad_counts_before_summing(self, counts, message):
+        with pytest.raises(InvalidCounts, match=message):
+            JointTable.from_counts(ROWS, COLS, counts)
 
     def test_combined_labels_concatenate(self):
         t = animal_acts_joint()

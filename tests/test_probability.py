@@ -19,6 +19,7 @@ from contextrep import (
     parse_counts_json,
     probabilities_from_counts,
 )
+from contextrep.probability import check_count, count_matrix, is_exact_value, is_integer
 
 
 class TestOutcomeSet:
@@ -44,6 +45,45 @@ class TestOutcomeSet:
             OutcomeSet(("a", "b")).index("c")
 
 
+class TestCountRule:
+    @pytest.mark.parametrize("x", [0, 7, -3, 2**70])
+    def test_ints_are_integers(self, x):
+        assert is_integer(x)
+
+    @pytest.mark.parametrize("x", [True, False, 1.0, Fraction(1), "1", None])
+    def test_bools_and_other_types_are_not(self, x):
+        assert not is_integer(x)
+
+    def test_exact_values_use_the_same_test(self):
+        assert is_exact_value(3) and is_exact_value(Fraction(1, 3))
+        assert not is_exact_value(True) and not is_exact_value(0.5)
+
+    @pytest.mark.parametrize("c", [-1, True, 1.5, "2", None])
+    def test_check_count_raises_the_callers_class(self, c):
+        with pytest.raises(ParseError, match=r"invalid count for 'a': .* is not a nonnegative"):
+            check_count(c, ParseError, "count for 'a'")
+        check_count(0, ParseError, "count for 'a'")
+
+    def test_count_matrix_returns_rows_and_total(self):
+        assert count_matrix([[1, 0], [2, 3]], 2, 2, InvalidCounts) == (((1, 0), (2, 3)), 6)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ((), "shape must be 2 x 2"),
+            (((1, 0), (2,)), "shape must be 2 x 2"),
+            (((1, 0), (2, 3), (4, 5)), "shape must be 2 x 2"),
+            (((1, 0), (-2, 3)), r"invalid count at cell \(1, 0\): -2 "),
+            (((1, "0"), (2, 3)), r"invalid count at cell \(0, 1\): '0' "),
+            (((1, 0), (2, False)), r"invalid count at cell \(1, 1\): False "),
+            (((0, 0), (0, 0)), "total count must be at least 1"),
+        ],
+    )
+    def test_count_matrix_refusals(self, counts, message):
+        with pytest.raises(InvalidDistribution, match=message):
+            count_matrix(counts, 2, 2, InvalidDistribution)
+
+
 class TestCountTable:
     def test_total(self):
         t = CountTable(OutcomeSet(("H", "B")), (43, 38))
@@ -58,6 +98,12 @@ class TestCountTable:
     def test_rejects_negative(self):
         with pytest.raises(InvalidCounts):
             CountTable(OutcomeSet(("a", "b")), (1, -1))
+
+    def test_refusal_names_the_label_and_the_count(self):
+        with pytest.raises(InvalidCounts, match="invalid count for 'b': -1 is not"):
+            CountTable(OutcomeSet(("a", "b")), (1, -1))
+        with pytest.raises(InvalidCounts, match="invalid count for 'a': 1.0 is not"):
+            CountTable(OutcomeSet(("a", "b")), (1.0, 1))
 
     def test_rejects_bool(self):
         with pytest.raises(InvalidCounts):

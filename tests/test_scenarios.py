@@ -39,6 +39,15 @@ class TestAnimalActsDataset:
                 joint_counts=((4, 51), (21, 6)),  # totals 82, not 81
             )
 
+    @pytest.mark.parametrize("bad", [-4, True, 4.0, "4"])
+    def test_rejects_bad_joint_count(self, bad):
+        with pytest.raises(InvalidCounts, match=r"cell \(0, 0\)"):
+            AnimalActsDataset(
+                animal_counts=CountTable(OutcomeSet(("H", "B")), (43, 38)),
+                act_counts=CountTable(OutcomeSet(("G", "W")), (39, 42)),
+                joint_counts=((bad, 51), (21, 5)),
+            )
+
     def test_rejects_bad_joint_shape(self):
         with pytest.raises(InvalidCounts):
             AnimalActsDataset(
@@ -103,6 +112,11 @@ class TestVesselsOutcomeCounts:
     def test_rejects_negative(self):
         with pytest.raises(InvalidCounts):
             VesselsOutcomeCounts(-1, 0, 0, 1)
+
+    @pytest.mark.parametrize("bad", [True, 1.0, None])
+    def test_rejects_non_integer(self, bad):
+        with pytest.raises(InvalidCounts, match="invalid ll count"):
+            VesselsOutcomeCounts(1, 0, 0, bad)
 
 
 class TestSimulateVessels:
