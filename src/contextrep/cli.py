@@ -291,10 +291,11 @@ def _build_parser() -> argparse.ArgumentParser:
                            "two-vessel water experiment simulation",
                            "--seed", "--trials", "--tolerance", "--float")
     p_vs.add_argument("--mode", choices=("separate", "connected"), required=True)
-    p_vs.add_argument("--capacity", type=float, default=20.0,
-                      help="vessel capacity in liters (default 20)")
-    p_vs.add_argument("--threshold", type=float, default=10.0,
-                      help="more/less threshold in liters (default 10)")
+    geometry = {f.name: f.default for f in dataclasses.fields(VesselsConfig)}
+    p_vs.add_argument("--capacity", type=float, default=geometry["capacity"],
+                      help="vessel capacity in liters (default %(default)s)")
+    p_vs.add_argument("--threshold", type=float, default=geometry["threshold"],
+                      help="more/less threshold in liters (default %(default)s)")
 
     return parser
 

@@ -10,19 +10,36 @@ Decision procedure
 If the matrix factors as an outer product of *any* probability pair, it
 factors through its own marginals (sum the factorization over rows/columns),
 so the test checks probs == outer(row marginals, col marginals).  Tables that
-fail get a witness: the 2x2 minor of maximal absolute value, a rank-1
-obstruction checkable by hand.  Tables built from integer counts are decided
-in exact rational arithmetic with zero tolerance; float tables get a small
-default tolerance.
+fail get a witness: the 2x2 minor of maximal absolute value, the first one in
+(j, j', k, k') loop order when several tie, a rank-1 obstruction checkable by
+hand.  Tables built from integer counts are decided exactly with zero
+tolerance; float tables get a small default tolerance.
+
+Exact tables are decided in integers, fraction-free (Bareiss 1968).  The
+table is an integer matrix C over a total T with probs == C / T: the counts
+and their sum, or, for a rational table without counts, the probabilities
+times the lcm of their denominators.  With row sums R and column sums K, the
+marginals are R_j / T and K_k / T, the residual is
+max |T*C_jk - R_j*K_k| / T^2, and every 2x2 minor of probs is the same minor
+of C over T^2.  `Fraction` is built only for these reported values.  The
+witness search is one numpy kernel that takes one row's minors against all
+later rows at once: in int64 when 2*max(C)^2 < 2^63, so no product or
+difference can overflow, and in object-dtype Python ints otherwise.  Float
+tables run the same kernel in float64, with the same products and
+differences as a scalar loop, so their witness values are bit-identical to it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     FamilyMismatch,
@@ -36,6 +53,7 @@ from .probability import (
     OutcomeSet,
     ProbabilityVector,
     Value,
+    _reject_duplicate_keys,
     check_simplex,
     count_matrix,
     count_rows,
@@ -64,13 +82,21 @@ class JointTable:
             raise InvalidJointTable("one probability row per row outcome is required")
         if any(len(row) != self.col_outcomes.n for row in self.probs):
             raise InvalidJointTable("rows must all have one entry per column outcome")
-        check_simplex([p for r in self.probs for p in r], InvalidJointTable, "joint probabilities")
+        # Exact probabilities equal to nonnegative counts over their positive
+        # total lie in [0, 1] and sum to exactly 1, so the counts check below
+        # implies the simplex check.
+        if self.counts is None or not self.is_exact:
+            check_simplex([p for r in self.probs for p in r], InvalidJointTable,
+                          "joint probabilities")
         if self.counts is not None:
             counts, grand = count_matrix(self.counts, self.n_rows, self.n_cols, InvalidJointTable)
             object.__setattr__(self, "counts", counts)
-            if any(p != Fraction(c, grand) for prow, crow in zip(self.probs, self.counts)
-                   for p, c in zip(prow, crow)):
-                raise InvalidJointTable("probabilities do not derive from the counts")
+            # p == c / grand, cross-multiplied so no Fraction is built per cell.
+            for prow, crow in zip(self.probs, counts):
+                for p, c in zip(prow, crow):
+                    num, den = p.as_integer_ratio()
+                    if num * grand != c * den:
+                        raise InvalidJointTable("probabilities do not derive from the counts")
 
     @property
     def n_rows(self) -> int:
@@ -80,7 +106,7 @@ class JointTable:
     def n_cols(self) -> int:
         return self.col_outcomes.n
 
-    @property
+    @functools.cached_property
     def is_exact(self) -> bool:
         return all(is_exact_value(p) for row in self.probs for p in row)
 
@@ -258,10 +284,31 @@ def build_joint_vectors(
     return real, JointComplexVector(t.row_outcomes, t.col_outcomes, amplitudes, phases.angles)
 
 
+def _integer_form(t: JointTable) -> Optional[tuple[tuple[tuple[int, ...], ...], int]]:
+    """(C, T) with probs == C / T exactly, or None for a float table.
+
+    C is the counts when the table has them; otherwise the probabilities times
+    the lcm L of their denominators, and then T == L since they sum to 1.
+    """
+    if not t.is_exact:
+        return None
+    if t.counts is not None:
+        return t.counts, sum(map(sum, t.counts))
+    ratios = [[p.as_integer_ratio() for p in row] for row in t.probs]
+    total = math.lcm(*(den for row in ratios for _, den in row))
+    return tuple(tuple(num * (total // den) for num, den in row) for row in ratios), total
+
+
 def marginals(t: JointTable) -> Marginals:
     """Row and column sums; the only candidate factor pair for the product test."""
-    row = tuple(sum(row) for row in t.probs)
-    col = tuple(sum(t.probs[j][k] for j in range(t.n_rows)) for k in range(t.n_cols))
+    exact = _integer_form(t)
+    if exact is None:
+        row = tuple(sum(row) for row in t.probs)
+        col = tuple(sum(t.probs[j][k] for j in range(t.n_rows)) for k in range(t.n_cols))
+    else:
+        cells, total = exact
+        row = tuple(Fraction(sum(r), total) for r in cells)
+        col = tuple(Fraction(sum(c), total) for c in zip(*cells))
     return Marginals(
         ProbabilityVector(t.row_outcomes, row),
         ProbabilityVector(t.col_outcomes, col),
@@ -269,33 +316,66 @@ def marginals(t: JointTable) -> Marginals:
 
 
 def _max_minor(t: JointTable) -> Optional[MinorWitness]:
-    """The 2x2 minor of maximal absolute value, or None when no minor is nonzero."""
-    best: Optional[MinorWitness] = None
-    best_abs: Value = 0
-    p = t.probs
-    for j in range(t.n_rows):
-        for j2 in range(j + 1, t.n_rows):
-            for k in range(t.n_cols):
-                for k2 in range(k + 1, t.n_cols):
-                    value = p[j][k] * p[j2][k2] - p[j][k2] * p[j2][k]
-                    if abs(value) > best_abs:
-                        best_abs = abs(value)
-                        best = MinorWitness(
-                            rows=(j, j2),
-                            cols=(k, k2),
-                            row_labels=(t.row_outcomes.labels[j], t.row_outcomes.labels[j2]),
-                            col_labels=(t.col_outcomes.labels[k], t.col_outcomes.labels[k2]),
-                            value=value,
-                        )
-    return best
+    """The first 2x2 minor of maximal absolute value in (j, j', k, k') loop order.
+
+    None when every minor is zero.  Row j's minors against all later rows are
+    one array over the column pairs k < k', so memory is O(n * m^2), never a
+    whole n^2 x m^2 array.
+    """
+    exact = _integer_form(t)
+    if exact is None:
+        a = np.array(t.as_floats())
+    else:
+        cells, total = exact
+        big = max(map(max, cells))
+        a = np.array(cells, dtype=np.int64 if 2 * big * big < 2**63 else object)
+    # The column pairs k < k' in loop order (`np.triu_indices(m, 1)` lists the
+    # same pairs, but its first call alone adds about 0.2 MB of resident memory).
+    k, k2 = np.array(list(itertools.combinations(range(t.n_cols), 2)),
+                     dtype=np.intp).reshape(-1, 2).T
+    best_abs, best = 0, None
+    for j in range(t.n_rows - 1 if t.n_cols > 1 else 0):
+        # Indexing by k and k2 copies, so the products and the difference are
+        # taken in place, and both arrays are freed before the next row's: at
+        # most two arrays of (n - j - 1) x C(m, 2) minors are alive at a time.
+        minors, mags = a[j + 1:, k2], a[j + 1:, k]
+        minors *= a[j, k]
+        mags *= a[j, k2]
+        minors -= mags
+        np.abs(minors, out=mags)
+        i = int(mags.argmax())  # the first maximum in (j', column pair) order
+        if mags.flat[i] > best_abs:
+            best_abs = mags.flat[i]
+            later_row, pair = divmod(i, k.size)
+            best = (j, j + 1 + later_row, int(k[pair]), int(k2[pair]), minors.flat[i])
+        del minors, mags
+    if best is None:
+        return None
+    j, j2, c, c2, value = best
+    return MinorWitness(
+        rows=(j, j2),
+        cols=(c, c2),
+        row_labels=(t.row_outcomes.labels[j], t.row_outcomes.labels[j2]),
+        col_labels=(t.col_outcomes.labels[c], t.col_outcomes.labels[c2]),
+        value=float(value) if exact is None else Fraction(int(value), total * total),
+    )
 
 
 def _residual(t: JointTable, marg: Marginals) -> Value:
     """max |probs[j][k] - row[j] * col[k]|, the distance from the marginal outer product."""
-    return max(
-        abs(t.probs[j][k] - marg.row.probs[j] * marg.col.probs[k])
-        for j in range(t.n_rows)
-        for k in range(t.n_cols)
+    exact = _integer_form(t)
+    if exact is None:
+        return max(
+            abs(t.probs[j][k] - marg.row.probs[j] * marg.col.probs[k])
+            for j in range(t.n_rows)
+            for k in range(t.n_cols)
+        )
+    cells, total = exact
+    col_sums = [sum(c) for c in zip(*cells)]
+    return Fraction(
+        max(abs(total * c - row_sum * s)
+            for r, row_sum in zip(cells, map(sum, cells)) for c, s in zip(r, col_sums)),
+        total * total,
     )
 
 
@@ -371,7 +451,7 @@ def parse_joint_csv(text: str) -> JointTable:
 
 
 def parse_joint_json(text: str) -> JointTable:
-    data = load_json(text)
+    data = load_json(text, object_pairs_hook=_reject_duplicate_keys)
     if not isinstance(data, dict) or not {"rows", "cols", "counts"} <= set(data):
         raise ParseError("JSON joint counts must be {rows: [...], cols: [...], counts: [[...]]}")
     rows, cols, counts = data["rows"], data["cols"], data["counts"]

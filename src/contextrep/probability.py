@@ -259,7 +259,7 @@ def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict[str, object]
     out: dict[str, object] = {}
     for key, value in pairs:
         if key in out:
-            raise InvalidCounts(f"duplicate label {key!r} in JSON counts")
+            raise InvalidCounts(f"duplicate key {key!r} in JSON counts")
         out[key] = value
     return out
 

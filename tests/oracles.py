@@ -3,9 +3,10 @@
 Each oracle reaches the same answer as the library through a different
 algorithm: region membership by solving linear systems instead of ratio
 comparisons, region measure by rejection counting instead of a closed form,
-factorization by exhaustive rational search instead of minors.  Expected
-values asserted in the tests were computed from these oracles once and
-frozen.
+factorization by exhaustive rational search instead of minors, the strongest
+2x2 minor by a scalar loop over the table's own entries instead of a
+vectorized integer kernel.  Expected values asserted in the tests were
+computed from these oracles once and frozen.
 """
 
 from __future__ import annotations
@@ -96,6 +97,29 @@ def exact_factorization_search(
             ):
                 return a, b
     return None
+
+
+def max_minor_oracle(
+    probs: Sequence[Sequence],
+) -> Optional[tuple[tuple[int, int], tuple[int, int], object]]:
+    """((j, j'), (k, k'), minor) of the first 2x2 minor of maximal absolute value.
+
+    A quartic loop in (j, j', k, k') order over the entries themselves, so a
+    Fraction table gets an exact minor and a float table the float one; a tie
+    keeps the minor found first.  None when every minor is zero.
+    """
+    best = None
+    best_abs = 0
+    n, m = len(probs), len(probs[0])
+    for j in range(n):
+        for j2 in range(j + 1, n):
+            for k in range(m):
+                for k2 in range(k + 1, m):
+                    value = probs[j][k] * probs[j2][k2] - probs[j][k2] * probs[j2][k]
+                    if abs(value) > best_abs:
+                        best_abs = abs(value)
+                        best = ((j, j2), (k, k2), value)
+    return best
 
 
 def binomial_three_sigma(p: float, trials: int) -> float:

@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
+from contextrep import VesselsConfig
 from contextrep.cli import _build_parser, main
 
 ANIMAL_CSV = "label,count\nHorse,43\nBear,38\n"
@@ -214,6 +216,10 @@ class TestScenarios:
         assert report["vessels"]["capacity"] == 8.0
         assert report["outcome_counts"]["MM"] == 0
 
+    def test_vessels_default_geometry_is_the_library_default(self, capsys):
+        report = run_json(capsys, "scenario", "vessels", "--mode", "separate", "--trials", "10")
+        assert report["vessels"] == dataclasses.asdict(VesselsConfig("separate", 10, 0))
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, tmp_path, capsys):
@@ -252,6 +258,16 @@ class TestExitCodes:
         code, out, err = run(capsys, "entanglement", str(f))
         assert (code, out) == (3, "")
         assert err == "error: invalid count at cell (0, 0): -1 is not a nonnegative integer\n"
+
+    def test_duplicate_joint_json_key_is_3_and_named(self, tmp_path, capsys):
+        f = tmp_path / "dup.json"
+        f.write_text('{"rows": ["a", "b"], "cols": ["x", "y"], '
+                     '"counts": [[1, 0], [0, 1]], "counts": [[1, 1], [1, 1]]}')
+        out = tmp_path / "out.json"
+        code, stdout, err = run(capsys, "entanglement", str(f), "--output", str(out))
+        assert (code, stdout) == (3, "")
+        assert err == "error: duplicate key 'counts' in JSON counts\n"
+        assert not out.exists()
 
     def test_negative_json_count_is_3_and_bool_is_2(self, tmp_path, capsys):
         f = tmp_path / "neg.json"

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contextrep import (
@@ -31,7 +31,8 @@ from contextrep import (
     tensor_product_complex,
     tensor_product_real,
 )
-from oracles import exact_factorization_search
+from contextrep.joint import _max_minor
+from oracles import exact_factorization_search, max_minor_oracle
 
 CTX = ContextId("test", "state", "measurement")
 
@@ -316,6 +317,90 @@ class TestIsProduct:
         assert (verdict == "product") == (found is not None)
 
 
+@st.composite
+def minor_counts(draw):
+    """Count tables up to 7x7, some outer products, with zero rows and columns.
+
+    Cells up to 2^40 put max(C)^2 past int64, so the kernel takes Python ints.
+    """
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cell = st.integers(0, draw(st.sampled_from((9, 2**40))))
+    if draw(st.booleans()):
+        counts = [draw(st.lists(cell, min_size=m, max_size=m)) for _ in range(n)]
+    else:
+        u = draw(st.lists(cell, min_size=n, max_size=n))
+        v = draw(st.lists(cell, min_size=m, max_size=m))
+        counts = [[a * b for b in v] for a in u]
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        counts[j] = [0] * m
+    for k in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        for row in counts:
+            row[k] = 0
+    assume(sum(map(sum, counts)) > 0)
+    return counts
+
+
+def labelled(counts):
+    n, m = len(counts), len(counts[0])
+    return (OutcomeSet(tuple(f"r{j}" for j in range(n))),
+            OutcomeSet(tuple(f"c{k}" for k in range(m))))
+
+
+def assert_kernel_matches_oracle(t):
+    witness, expected = _max_minor(t), max_minor_oracle(t.probs)
+    if expected is None:
+        assert witness is None
+        return
+    rows, cols, value = expected
+    assert (witness.rows, witness.cols) == (rows, cols)
+    assert witness.row_labels == tuple(t.row_outcomes.labels[j] for j in rows)
+    assert witness.col_labels == tuple(t.col_outcomes.labels[k] for k in cols)
+    if t.is_exact:
+        assert isinstance(witness.value, Fraction) and witness.value == value
+    else:
+        assert isinstance(witness.value, float) and witness.value.hex() == value.hex()
+
+
+class TestMaxMinor:
+    """The vectorized kernel against the quartic scalar loop it replaced."""
+
+    @settings(max_examples=300)
+    @given(minor_counts(), st.sampled_from(("counts", "fractions", "floats")))
+    def test_kernel_matches_scalar_loop(self, counts, kind):
+        t = JointTable.from_counts(*labelled(counts), counts)
+        if kind == "fractions":  # exact, without counts: scaled by the lcm of denominators
+            t = JointTable(t.row_outcomes, t.col_outcomes, t.probs)
+        elif kind == "floats":
+            t = JointTable(t.row_outcomes, t.col_outcomes, t.as_floats())
+        assert_kernel_matches_oracle(t)
+
+    @pytest.mark.parametrize("big", [2**31 - 1, 2**31, 3037000499, 3037000500, 2**62])
+    def test_both_sides_of_the_int64_bound(self, big):
+        """2*max(C)^2 < 2^63 runs in int64, anything larger in Python ints."""
+        for counts in (((big, big - 1), (1, big)), ((0, big), (big, big)),
+                       ((big, 1, 0), (big - 1, big, 2), (0, 3, big))):
+            assert_kernel_matches_oracle(JointTable.from_counts(*labelled(counts), counts))
+
+    def test_first_of_equal_minors_wins(self):
+        # Columns (0, 1) and (1, 2) give minors +1 and -1: the first in loop order wins.
+        t = JointTable.from_counts(*labelled([[1, 0, 1], [0, 1, 0]]), [[1, 0, 1], [0, 1, 0]])
+        w = _max_minor(t)
+        assert (w.rows, w.cols, w.value) == ((0, 1), (0, 1), Fraction(1, 9))
+        # Rows (0, 1) and (1, 2) tie the same way.
+        t = JointTable.from_counts(*labelled([[1, 0], [0, 1], [1, 0]]), [[1, 0], [0, 1], [1, 0]])
+        w = _max_minor(t)
+        assert (w.rows, w.cols, w.value) == ((0, 1), (0, 1), Fraction(1, 9))
+        # A later, larger minor still replaces an earlier smaller one.
+        t = JointTable.from_counts(*labelled([[1, 0], [0, 1], [3, 0]]), [[1, 0], [0, 1], [3, 0]])
+        w = _max_minor(t)
+        assert (w.rows, w.cols, w.value) == ((1, 2), (0, 1), Fraction(-3, 25))
+
+    def test_single_row_or_column_has_no_minor(self):
+        for probs in (((0.25, 0.75),), ((0.25,), (0.75,))):
+            t = JointTable(*labelled(probs), probs)
+            assert _max_minor(t) is None
+
+
 class TestFactorizationCertificate:
     def test_recovers_exact_factors(self):
         a = (Fraction(2, 5), Fraction(3, 5))
@@ -414,6 +499,12 @@ class TestJointParsing:
             (Fraction(0), Fraction(1, 2)),
             (Fraction(1, 2), Fraction(0)),
         )
+
+    def test_json_duplicate_key_refused(self):
+        text = ('{"rows": ["a", "b"], "cols": ["x", "y"], '
+                '"counts": [[1, 0], [0, 1]], "counts": [[1, 1], [1, 1]]}')
+        with pytest.raises(InvalidCounts, match="duplicate key 'counts'"):
+            parse_joint_json(text)
 
     def test_json_shape_mismatch(self):
         with pytest.raises(InvalidJointTable):
