@@ -247,11 +247,15 @@ PINNED_MONTE_CARLO = {
                           6971, 7366, 7928, 8442, 9156, 9683, 10269, 10692, 11552, 11738,
                           12422, 13408, 13570, 14278, 14519, 15296, 15954, 16351, 17036,
                           17709, 18443), 0),
+    ("n3", 300000, 0): ((191016, 0, 108984), 0),
+    ("n3", 300000, 7): ((190573, 0, 109427), 0),
 }
 
-#: Integer weights of each pinned context; n8 has two zero-probability outcomes.
+#: Integer weights of each pinned context; n3 has one zero-probability outcome
+#: and n8 two.
 PINNED_WEIGHTS = {
     "n2": (43, 38),
+    "n3": (7, 0, 4),
     "n8": (1, 0, 2, 1, 0, 1, 2, 1),
     "n32": tuple(range(1, 33)),
 }
