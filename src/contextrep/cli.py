@@ -31,9 +31,9 @@ from typing import Callable, Optional, Sequence, TypeVar
 from .errors import ContextRepError, InvalidPhases, ParseError
 from .hilbert import ComplexContextVector, PhaseAssignment, build_complex_context
 from .joint import (
-    FLOAT_TOLERANCE,
     JointTable,
     build_joint_vectors,
+    default_tolerance,
     is_product,
     parse_joint_csv,
     parse_joint_json,
@@ -42,6 +42,7 @@ from .probability import (
     ContextId,
     CountTable,
     ProbabilityVector,
+    _reject_duplicate_keys,
     load_json,
     parse_counts_csv,
     parse_counts_json,
@@ -78,7 +79,8 @@ def _load_phases(path: Optional[str], labels: Sequence[str]) -> Optional[PhaseAs
     """The --phases file over the given basis labels; None when no file was named."""
     if path is None:
         return None
-    data = load_json(_read_text(path), "phases")
+    hook = functools.partial(_reject_duplicate_keys, error=InvalidPhases, what="phases")
+    data = load_json(_read_text(path), "phases", object_pairs_hook=hook)
     if not isinstance(data, dict):
         raise InvalidPhases("phases file must be a JSON object mapping labels to radians")
     return PhaseAssignment.from_mapping(data, labels)
@@ -96,6 +98,8 @@ def _joint_sections(t: JointTable, cfg: dict, table_key: str) -> dict:
     """Table, verdict and joint vectors of a joint-table report, --float applied first."""
     if cfg["arithmetic"] == "float" and t.is_exact:
         t = JointTable(t.row_outcomes, t.col_outcomes, t.as_floats())
+    if cfg["arithmetic"] == "float" and cfg["tolerance"] is None:
+        cfg["tolerance"] = default_tolerance(t)  # the config block reports the table's default
     report = is_product(t, tol=cfg["tolerance"])
     real, w = build_joint_vectors(t, _load_phases(cfg["phases"], t.combined_labels()))
     return {
@@ -217,8 +221,6 @@ def _config_from(args: argparse.Namespace) -> dict:
     """The report's `config` block: five keys, None where the subcommand lacks the flag."""
     arithmetic = "float" if getattr(args, "float", False) else None
     tolerance = getattr(args, "tolerance", None)
-    if tolerance is None and arithmetic == "float":
-        tolerance = FLOAT_TOLERANCE
     if tolerance is not None and not (tolerance >= 0):
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     trials = getattr(args, "trials", None)

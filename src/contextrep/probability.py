@@ -255,11 +255,12 @@ def parse_counts_csv(text: str) -> CountTable:
     return CountTable(OutcomeSet(labels), counts)
 
 
-def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+def _reject_duplicate_keys(pairs: list, error: type = InvalidCounts, what: str = "counts") -> dict:
+    """JSON object_pairs_hook: raise `error` on a repeated key of the JSON `what`."""
     out: dict[str, object] = {}
     for key, value in pairs:
         if key in out:
-            raise InvalidCounts(f"duplicate key {key!r} in JSON counts")
+            raise error(f"duplicate key {key!r} in JSON {what}")
         out[key] = value
     return out
 

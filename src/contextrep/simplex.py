@@ -20,8 +20,12 @@ For v_k = 0 the region A_k is degenerate (measure zero): the ratio is +inf
 when lambda_k > 0, and when lambda_k = 0 the index only joins a boundary tie,
 so a forbidden outcome is never emitted.
 
-One kernel, `_classify_batch`, applies this rule: `classify_hidden_variable`
-runs it on one point and `monte_carlo_measurement` on each batch of draws.
+The rule is scale-invariant: an unnormalized row g with sum S has the ratios
+of g / S times S, so Monte Carlo classifies raw Exp(1) draws times 1 / v_k
+with the tie tolerance scaled by S.  One kernel, `_classify_batch`, applies
+the rule to one point (`classify_hidden_variable`) or a batch of draws
+(`monte_carlo_measurement`).  Its one tie mask settles each row it gives a
+single index; only the rare rest take the exact path, which builds the 0/0 mask.
 
 Region measure
 --------------
@@ -50,6 +54,10 @@ from .probability import (
 
 #: Default width for declaring two region ratios tied (a boundary hit).
 BOUNDARY_TOLERANCE = 1e-12
+
+#: Rows per Monte Carlo batch, so a batch stays in a core's cache through the
+#: kernel's passes.  Rows are drawn in stream order and classified one by one.
+_MC_BATCH = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -145,11 +153,10 @@ def classify_hidden_variable(
         raise InvalidHiddenVariable(
             f"hidden variable has {len(lam)} coordinates, context has {v.n} outcomes"
         )
-    _, ties = _classify_batch(np.array(v.as_floats()), np.array([lam.coords]), tol)
-    tied = np.flatnonzero(ties[0]).tolist()
-    if len(tied) == 1:
-        return Deterministic(tied[0])
-    return Boundary(tuple(tied))
+    counts, ties = _classify_batch(np.array([lam.coords]), _reciprocals(v), tol)
+    if len(ties):
+        return Boundary(tuple(np.flatnonzero(ties[0]).tolist()))
+    return Deterministic(int(counts.argmax()))
 
 
 def region_measure_ratio(v: RealContextVector, j: int) -> Value:
@@ -173,36 +180,53 @@ def sample_hidden_variables(n: int, count: int, seed: int) -> np.ndarray:
         raise ValueError("dimension must be at least 1")
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(seed)
-    return _sample_simplex(rng, count, n)
-
-
-def _sample_simplex(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    g = rng.exponential(scale=1.0, size=(count, n))
+    g = np.random.default_rng(seed).exponential(scale=1.0, size=(count, n))
     return g / g.sum(axis=1, keepdims=True)
 
 
-def trial_chunks(trials: int) -> Iterator[int]:
-    """Batch sizes summing to `trials`, 2^18 at most: every simulation draws in these."""
-    chunk = 1 << 18
+def trial_chunks(trials: int, chunk: int = 1 << 18) -> Iterator[int]:
+    """Batch sizes summing to `trials`, `chunk` at most: every simulation draws in these."""
     for start in range(0, trials, chunk):
         yield min(chunk, trials - start)
 
 
-def _classify_batch(
-    values: np.ndarray, lam: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ratio rule per row of `lam`: (argmin index, tie mask).
+def _reciprocals(v: RealContextVector) -> np.ndarray:
+    """1 / v_k per outcome: +inf where v_k = 0, finite (at most the largest float) elsewhere."""
+    values = np.array(v.as_floats())
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = np.minimum(1.0 / values, np.finfo(float).max)
+    return np.where(values > 0.0, inv, np.inf)
 
-    The mask holds each index whose ratio lambda_k / v_k is within `tol` of the
-    row minimum, and each 0/0 entry (forbidden outcome, coordinate exactly zero),
-    which only ever ties.  A row with more than one index masked is a boundary.
+
+def _classify_batch(
+    g: np.ndarray, inv_v: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ratio rule per row of `g`: (winner count per outcome, boundary tie masks).
+
+    Rows need not be normalized, and `g` is overwritten with the ratios
+    g_k * inv_v_k (`inv_v` is `_reciprocals` of the context).  An index ties
+    the row minimum when its ratio is within `tol` times the row sum.  A row
+    whose tie mask holds one index counts for it.  Every other row, and each
+    row with a 0/0 entry (NaN: an exact 0.0 draw at a zero-probability
+    outcome, which only ever ties), is a boundary: the exact path gives its
+    tie mask, in row order.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(values > 0.0, lam / values, np.inf)
-    best = ratios.min(axis=1, keepdims=True)
-    ties = (ratios <= best + tol) | ((values == 0.0) & (lam == 0.0))
-    return ratios.argmin(axis=1), ties
+    n = g.shape[1]
+    scaled_tol = tol * (g @ np.ones(n))
+    with np.errstate(invalid="ignore"):
+        r = np.multiply(g, inv_v, out=g)
+    winners = r.argmin(axis=1)  # a row's first NaN, if it has one
+    bound = r.ravel().take(np.arange(0, r.size, n) + winners) + scaled_tol
+    mask = r <= bound[:, None]
+    nan_rows = np.isnan(bound)
+    if np.count_nonzero(mask) == len(g) and not nan_rows.any():
+        return np.bincount(winners, minlength=n), np.empty((0, n), dtype=bool)
+    rare = np.flatnonzero((np.count_nonzero(mask, axis=1) != 1) | nan_rows)
+    ratios = r[rare]
+    zero_zero = np.isnan(ratios)
+    ratios[zero_zero] = np.inf
+    ties = (ratios <= ratios.min(axis=1, keepdims=True) + scaled_tol[rare, None]) | zero_zero
+    return np.bincount(np.delete(winners, rare), minlength=n), ties
 
 
 @dataclass(frozen=True)
@@ -254,15 +278,15 @@ def monte_carlo_measurement(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    values = np.array(v.as_floats())
+    inv_v = _reciprocals(v)
+    g = np.empty((min(trials, _MC_BATCH), v.n))
     counts = np.zeros(v.n, dtype=np.int64)
     boundary_hits = 0
-    for size in trial_chunks(trials):
-        lam = _sample_simplex(rng, size, v.n)
-        winners, ties = _classify_batch(values, lam, BOUNDARY_TOLERANCE)
-        boundary = ties.sum(axis=1) > 1
-        counts += np.bincount(winners[~boundary], minlength=v.n)
-        boundary_hits += int(boundary.sum())
+    for size in trial_chunks(trials, _MC_BATCH):
+        rng.standard_exponential(out=g[:size])  # the stream of exponential(1.0, size)
+        batch_counts, ties = _classify_batch(g[:size], inv_v, BOUNDARY_TOLERANCE)
+        counts += batch_counts
+        boundary_hits += len(ties)
     if boundary_hits == trials:
         raise InvalidHiddenVariable("every trial hit a region boundary; no frequencies")
     return MonteCarloMeasurement(

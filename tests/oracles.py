@@ -5,8 +5,9 @@ algorithm: region membership by solving linear systems instead of ratio
 comparisons, region measure by rejection counting instead of a closed form,
 factorization by exhaustive rational search instead of minors, the strongest
 2x2 minor by a scalar loop over the table's own entries instead of a
-vectorized integer kernel.  Expected values asserted in the tests were
-computed from these oracles once and frozen.
+vectorized integer kernel, the ratio rule by an n-wide tie matrix instead of
+the scale-free kernel with its rare-row path.  Expected values asserted in
+the tests were computed from these oracles once and frozen.
 """
 
 from __future__ import annotations
@@ -49,6 +50,25 @@ def region_depths(values: Sequence[float], lam: Sequence[float]) -> list[float]:
         c = region_coefficients(values, lam, j)
         depths.append(-np.inf if c is None else float(c.min()))
     return depths
+
+
+def classify_batch_oracle(
+    values: np.ndarray, lam: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ratio rule per row of `lam`, n-wide: (argmin index, tie mask).
+
+    Divides each row by v and ties every index whose ratio lambda_k / v_k is
+    within `tol` of the row minimum, plus each 0/0 entry (forbidden outcome,
+    coordinate exactly zero), which only ever ties.  A row with more than one
+    index masked is a boundary.  It builds the full tie matrix on every row;
+    the library's kernel multiplies unnormalized rows by 1/v and builds it
+    only for the rare rows its one-mask pass cannot settle.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(values > 0.0, lam / values, np.inf)
+    best = ratios.min(axis=1, keepdims=True)
+    ties = (ratios <= best + tol) | ((values == 0.0) & (lam == 0.0))
+    return ratios.argmin(axis=1), ties
 
 
 def hull_measure_estimate(

@@ -300,6 +300,16 @@ class TestExitCodes:
         assert code == 2
         assert "invalid phases JSON" in err and "(line 3, column 1)" in err
 
+    def test_duplicate_phase_key_is_3_and_named(self, tmp_path, capsys):
+        """A repeated phase label is refused, not resolved to its last value."""
+        f = tmp_path / "animal.csv"
+        f.write_text(ANIMAL_CSV)
+        phases = tmp_path / "phases.json"
+        phases.write_text('{"Horse": 1.0, "Horse": 2.0}')
+        code, stdout, err = run(capsys, "represent", str(f), "--phases", str(phases))
+        assert (code, stdout) == (3, "")
+        assert err == "error: duplicate key 'Horse' in JSON phases\n"
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf"])
     def test_non_finite_tolerance_is_3(self, tmp_path, capsys, tolerance):
         f = tmp_path / "joint.csv"

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contextrep import (
+    BOUNDARY_TOLERANCE,
     Boundary,
     ContextId,
     Deterministic,
@@ -22,9 +23,11 @@ from contextrep import (
     region_measure_ratio,
     sample_hidden_variables,
 )
+from contextrep.simplex import _classify_batch, _reciprocals
 from oracles import (
     BETA_CDF_N4_AT_QUARTER,
     binomial_three_sigma,
+    classify_batch_oracle,
     hull_measure_estimate,
     region_depths,
 )
@@ -85,6 +88,11 @@ class TestClassify:
         result = classify_hidden_variable(v, (0.2, 0.2, 0.6))
         assert result == Boundary((0, 1))
         assert classify_hidden_variable(v, (0.1, 0.3, 0.6)) == Deterministic(0)
+
+    def test_zero_coordinate_wins_at_subnormal_probability(self):
+        """1 / v_k overflows for a subnormal v_k; lambda_k = 0 must still be ratio 0, not 0/0."""
+        v = make_context((1.0, 5e-324))
+        assert classify_hidden_variable(v, (1.0, 0.0)) == Deterministic(1)
 
     def test_certain_outcome_wins_everywhere(self):
         v = make_context((Fraction(1), Fraction(0)))
@@ -292,3 +300,101 @@ class TestSeedContract:
                 boundary_hits += 1
         mc = monte_carlo_measurement(v, trials, seed)
         assert (mc.counts, mc.boundary_hits) == (tuple(counts), boundary_hits)
+
+
+@st.composite
+def dyadic_distributions(draw):
+    """Probabilities that are powers of two or zero, so 1 / v_k and g_k / v_k are exact.
+
+    Halving parts of 1 gives n >= 1 positive outcomes; zero outcomes go
+    anywhere, so a single positive outcome among zeros is reachable.
+    """
+    parts = [1.0]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(parts) - 1))
+        half = parts.pop(i) / 2
+        parts[i:i] = [half, half]
+    for _ in range(draw(st.integers(0, 3))):
+        parts.insert(draw(st.integers(0, len(parts))), 0.0)
+    return tuple(parts)
+
+
+def row_sums(lam):
+    """Sums of the rows of a 2-D array, taken as the kernel takes them."""
+    return lam @ np.ones(lam.shape[1])
+
+
+@st.composite
+def crafted_rows(draw, values):
+    """A point of the simplex, often with an exact tie or a gap of tol * S +- 1 ulp.
+
+    A third of the coordinates are exactly 0.0.  A gap row puts the ratio of
+    outcome b at the tie bound of the row minimum a, or one ulp to either side
+    of it; renormalizing moves the bound, so b is set again until it holds.
+    The row is kept as a batch of one, so its sum is the classifier's.
+    """
+    n = len(values)
+    coords = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(0.25, 1.0))
+    lam = np.array([draw(st.lists(coords, min_size=n, max_size=n))])
+    assume(lam.sum() > 0)
+    lam /= row_sums(lam)
+    row = lam[0]
+    positive = [k for k in range(n) if values[k] > 0]
+    craft = draw(st.sampled_from(["none", "tie", "gap"]))
+    if craft == "none" or len(positive) < 2:
+        return row
+    a = min(positive, key=lambda k: row[k] / values[k])
+    b = draw(st.sampled_from([k for k in positive if k != a]))
+    if craft == "tie":
+        row[b] = row[a] / values[a] * values[b]
+        assume(row.sum() > 0)
+        return row / row_sums(lam)  # dividing every coordinate keeps the tie exact
+    ulps = draw(st.integers(-1, 1))
+
+    def put_b_at_gap():
+        target = row[a] / values[a] + BOUNDARY_TOLERANCE * row_sums(lam)[0]
+        if ulps:
+            target = np.nextafter(target, ulps * np.inf)
+        row[b] = target * values[b]
+
+    put_b_at_gap()
+    lam /= row_sums(lam)
+    for _ in range(3):
+        put_b_at_gap()
+    assume(abs(row_sums(lam)[0] - 1.0) <= 1e-13)
+    return row
+
+
+def oracle_tally(values, lam):
+    """(counts, boundary tie masks) of the n-wide rule, tol scaled by each row sum."""
+    tol = BOUNDARY_TOLERANCE * row_sums(lam)[:, None]
+    winners, ties = classify_batch_oracle(np.array(values), lam, tol)
+    boundary = ties.sum(axis=1) > 1
+    return np.bincount(winners[~boundary], minlength=len(values)).tolist(), ties[boundary].tolist()
+
+
+class TestKernelOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_kernel_matches_oracle_on_unnormalized_rows(self, data):
+        """The scale-free kernel classifies every row as the n-wide tie rule does.
+
+        The kernel sees the points scaled by a power of two, so its ratios and
+        tie bounds are the oracle's, scaled exactly.  The classifier takes the
+        row sum of one row, which can differ in the last bit from the same
+        row's sum within a batch, so each side gets the oracle at its own sum.
+        """
+        values = data.draw(dyadic_distributions())
+        v = make_context(values)
+        lam = np.array(data.draw(st.lists(crafted_rows(values), min_size=1, max_size=6)))
+        g = lam * 2.0 ** data.draw(st.integers(-30, 30))
+        counts, ties = _classify_batch(g, _reciprocals(v), BOUNDARY_TOLERANCE)
+        assert (counts.tolist(), ties.tolist()) == oracle_tally(values, lam)
+        for row in lam:
+            row_counts, row_ties = oracle_tally(values, row[None])
+            expected = (
+                Boundary(tuple(np.flatnonzero(row_ties[0]).tolist()))
+                if row_ties
+                else Deterministic(row_counts.index(1))
+            )
+            assert classify_hidden_variable(v, tuple(row)) == expected
