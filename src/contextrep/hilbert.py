@@ -34,6 +34,24 @@ def round_sig(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+class AmplitudeVector:
+    """The one owner of an amplitude vector's unit-norm rule, moduli and report form."""
+
+    amplitudes: tuple[complex, ...]
+
+    def _check_unit_norm(self, error: type[Exception]) -> None:
+        norm = sum(abs(a) ** 2 for a in self.amplitudes)
+        if abs(norm - 1.0) > NORM_TOLERANCE:
+            raise error(f"amplitudes have squared norm {norm!r}, not 1")
+
+    def moduli(self) -> tuple[float, ...]:
+        return tuple(abs(a) for a in self.amplitudes)
+
+    def amplitude_entries(self) -> list[dict]:
+        """Report form: real and imaginary parts at 12 significant digits."""
+        return [{"re": round_sig(a.real), "im": round_sig(a.imag)} for a in self.amplitudes]
+
+
 @dataclass(frozen=True)
 class BlockSpectralFamily:
     """Ordered partition of the ambient indices {0, ..., m-1} into outcome blocks."""
@@ -111,7 +129,7 @@ class PhaseAssignment:
 
 
 @dataclass(frozen=True)
-class ComplexContextVector:
+class ComplexContextVector(AmplitudeVector):
     """Unit vector whose block weights are the outcome probabilities."""
 
     outcomes: OutcomeSet
@@ -129,12 +147,7 @@ class ComplexContextVector:
             raise FamilyMismatch(
                 f"{self.family.n_blocks} blocks for {self.outcomes.n} outcomes"
             )
-        norm = sum(abs(a) ** 2 for a in self.amplitudes)
-        if abs(norm - 1.0) > NORM_TOLERANCE:
-            raise FamilyMismatch(f"amplitudes have squared norm {norm!r}, not 1")
-
-    def moduli(self) -> tuple[float, ...]:
-        return tuple(abs(a) for a in self.amplitudes)
+        self._check_unit_norm(FamilyMismatch)
 
     def probabilities(self) -> tuple[float, ...]:
         return tuple(born_probability(self, k) for k in range(self.outcomes.n))
@@ -144,9 +157,7 @@ class ComplexContextVector:
             "context": self.context.as_dict(),
             "m": self.family.m,
             "blocks": [list(b) for b in self.family.blocks],
-            "amplitudes": [
-                {"re": round_sig(a.real), "im": round_sig(a.imag)} for a in self.amplitudes
-            ],
+            "amplitudes": self.amplitude_entries(),
             "probabilities": list(self.probabilities()),
         }
 

@@ -15,18 +15,20 @@ fail get a witness: the 2x2 minor of maximal absolute value, the first one in
 hand.  Tables built from integer counts are decided exactly with zero
 tolerance; float tables get a small default tolerance.
 
-Exact tables are decided in integers, fraction-free (Bareiss 1968).  The
-table is an integer matrix C over a total T with probs == C / T: the counts
-and their sum, or, for a rational table without counts, the probabilities
-times the lcm of their denominators.  With row sums R and column sums K, the
-marginals are R_j / T and K_k / T, the residual is
-max |T*C_jk - R_j*K_k| / T^2, and every 2x2 minor of probs is the same minor
-of C over T^2.  `Fraction` is built only for these reported values.  The
-witness search is one numpy kernel that takes one row's minors against all
-later rows at once: in int64 when 2*max(C)^2 < 2^63, so no product or
-difference can overflow, and in object-dtype Python ints otherwise.  Float
-tables run the same kernel in float64, with the same products and
-differences as a scalar loop, so their witness values are bit-identical to it.
+Every table is decided through one form (C, T, div), built once, with
+probs == C / T: the counts over their total; for a rational table without
+counts, the probabilities times the lcm T of their denominators; for a float
+table, its own entries over T = 1, with div(x, 1) == x (but a sum rounded
+above 1 is 1.0), so every float bit and entry type is kept.  With row sums R
+and column sums K, the marginals are div(R_j, T) and div(K_k, T), the
+residual is div(max |T*C_jk - R_j*K_k|, T^2), and each 2x2 minor of probs is
+div of the same minor of C by T^2.  So exact tables are decided in integers,
+fraction-free (Bareiss 1968), with `Fraction` built only for these reported
+values.  The witness kernel takes one row's minors against all later rows at
+once, and alone picks a dtype: float64 for a float table (the products and
+differences of a scalar loop, so bit-identical witnesses), int64 when
+2*max(C)^2 < 2^63 (no product or difference can overflow), and object-dtype
+Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional, Sequence
+from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from .errors import (
     ParseError,
     UnsupportedFamily,
 )
-from .hilbert import NORM_TOLERANCE, ComplexContextVector, PhaseAssignment, round_sig
+from .hilbert import AmplitudeVector, ComplexContextVector, PhaseAssignment, round_sig
 from .probability import (
     OutcomeSet,
     ProbabilityVector,
@@ -67,16 +69,31 @@ from .simplex import RealContextVector
 FLOAT_TOLERANCE = 1e-9
 
 
+def _over_one(x: Value, total: int) -> Value:
+    """The div of a float table's form: x over its total 1 is x, every bit and type kept.
+
+    Each value taken over T (a marginal, the residual, a minor's size) is at most
+    1, but a float sum can round above it, as the entries c / T of one row can.
+    """
+    return x if x <= 1 else 1.0
+
+
 @dataclass(frozen=True)
 class JointTable:
     """Joint outcome probabilities for a paired measurement, optionally with counts."""
 
     row_outcomes: OutcomeSet
     col_outcomes: OutcomeSet
-    probs: tuple[tuple[Value, ...], ...]
+    probs: Optional[tuple[tuple[Value, ...], ...]]
     counts: Optional[tuple[tuple[int, ...], ...]] = None
 
     def __post_init__(self) -> None:
+        if self.probs is None:  # from counts alone: one check, as InvalidCounts
+            counts, total = count_matrix(self.counts, self.n_rows, self.n_cols, InvalidCounts)
+            object.__setattr__(self, "counts", counts)
+            object.__setattr__(self, "probs",
+                               tuple(tuple(Fraction(c, total) for c in row) for row in counts))
+            return
         object.__setattr__(self, "probs", tuple(tuple(row) for row in self.probs))
         if len(self.probs) != self.row_outcomes.n:
             raise InvalidJointTable("one probability row per row outcome is required")
@@ -89,14 +106,10 @@ class JointTable:
             check_simplex([p for r in self.probs for p in r], InvalidJointTable,
                           "joint probabilities")
         if self.counts is not None:
-            counts, grand = count_matrix(self.counts, self.n_rows, self.n_cols, InvalidJointTable)
+            counts, total = count_matrix(self.counts, self.n_rows, self.n_cols, InvalidJointTable)
             object.__setattr__(self, "counts", counts)
-            # p == c / grand, cross-multiplied so no Fraction is built per cell.
-            for prow, crow in zip(self.probs, counts):
-                for p, c in zip(prow, crow):
-                    num, den = p.as_integer_ratio()
-                    if num * grand != c * den:
-                        raise InvalidJointTable("probabilities do not derive from the counts")
+            if self.probs != tuple(tuple(Fraction(c, total) for c in row) for row in counts):
+                raise InvalidJointTable("probabilities do not derive from the counts")
 
     @property
     def n_rows(self) -> int:
@@ -109,6 +122,18 @@ class JointTable:
     @functools.cached_property
     def is_exact(self) -> bool:
         return all(is_exact_value(p) for row in self.probs for p in row)
+
+    @functools.cached_property
+    def _form(self) -> tuple[tuple[tuple[Value, ...], ...], int, Callable[[Value, int], Value]]:
+        """(C, T, div) with probs == C / T, as the module docstring sets out."""
+        if not self.is_exact:
+            return self.probs, 1, _over_one
+        if self.counts is not None:
+            return self.counts, sum(map(sum, self.counts)), Fraction
+        ratios = [[p.as_integer_ratio() for p in row] for row in self.probs]
+        total = math.lcm(*(den for row in ratios for _, den in row))  # == T: they sum to 1
+        cells = tuple(tuple(num * (total // den) for num, den in row) for row in ratios)
+        return cells, total, Fraction
 
     def as_floats(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(float(p) for p in row) for row in self.probs)
@@ -131,9 +156,7 @@ class JointTable:
         col_outcomes: OutcomeSet,
         counts: Sequence[Sequence[int]],
     ) -> "JointTable":
-        counts, total = count_matrix(counts, row_outcomes.n, col_outcomes.n, InvalidCounts)
-        probs = tuple(tuple(Fraction(c, total) for c in row) for row in counts)
-        return cls(row_outcomes, col_outcomes, probs, counts)
+        return cls(row_outcomes, col_outcomes, None, counts)
 
 
 @dataclass(frozen=True)
@@ -200,7 +223,7 @@ class EntanglementReport:
 
 
 @dataclass(frozen=True)
-class JointComplexVector:
+class JointComplexVector(AmplitudeVector):
     """Amplitudes over the tensor basis, row-major; squared moduli are the table."""
 
     row_outcomes: OutcomeSet
@@ -216,12 +239,7 @@ class JointComplexVector:
             raise InvalidJointTable(
                 f"expected {size} amplitudes and phases over the tensor basis"
             )
-        norm = sum(abs(a) ** 2 for a in self.amplitudes)
-        if abs(norm - 1.0) > NORM_TOLERANCE:
-            raise InvalidJointTable(f"amplitudes have squared norm {norm!r}, not 1")
-
-    def moduli(self) -> tuple[float, ...]:
-        return tuple(abs(a) for a in self.amplitudes)
+        self._check_unit_norm(InvalidJointTable)
 
     # The table's method reads only the two outcome sets, which this class shares.
     combined_labels = JointTable.combined_labels
@@ -231,9 +249,7 @@ class JointComplexVector:
             "row_labels": list(self.row_outcomes.labels),
             "col_labels": list(self.col_outcomes.labels),
             "basis_labels": list(self.combined_labels()),
-            "amplitudes": [
-                {"re": round_sig(a.real), "im": round_sig(a.imag)} for a in self.amplitudes
-            ],
+            "amplitudes": self.amplitude_entries(),
             "moduli": [round_sig(m) for m in self.moduli()],
             "phases": list(self.phases),
         }
@@ -284,34 +300,12 @@ def build_joint_vectors(
     return real, JointComplexVector(t.row_outcomes, t.col_outcomes, amplitudes, phases.angles)
 
 
-def _integer_form(t: JointTable) -> Optional[tuple[tuple[tuple[int, ...], ...], int]]:
-    """(C, T) with probs == C / T exactly, or None for a float table.
-
-    C is the counts when the table has them; otherwise the probabilities times
-    the lcm L of their denominators, and then T == L since they sum to 1.
-    """
-    if not t.is_exact:
-        return None
-    if t.counts is not None:
-        return t.counts, sum(map(sum, t.counts))
-    ratios = [[p.as_integer_ratio() for p in row] for row in t.probs]
-    total = math.lcm(*(den for row in ratios for _, den in row))
-    return tuple(tuple(num * (total // den) for num, den in row) for row in ratios), total
-
-
 def marginals(t: JointTable) -> Marginals:
     """Row and column sums; the only candidate factor pair for the product test."""
-    exact = _integer_form(t)
-    if exact is None:
-        row = tuple(sum(row) for row in t.probs)
-        col = tuple(sum(t.probs[j][k] for j in range(t.n_rows)) for k in range(t.n_cols))
-    else:
-        cells, total = exact
-        row = tuple(Fraction(sum(r), total) for r in cells)
-        col = tuple(Fraction(sum(c), total) for c in zip(*cells))
+    cells, total, div = t._form
     return Marginals(
-        ProbabilityVector(t.row_outcomes, row),
-        ProbabilityVector(t.col_outcomes, col),
+        ProbabilityVector(t.row_outcomes, tuple(div(sum(r), total) for r in cells)),
+        ProbabilityVector(t.col_outcomes, tuple(div(sum(c), total) for c in zip(*cells))),
     )
 
 
@@ -322,13 +316,12 @@ def _max_minor(t: JointTable) -> Optional[MinorWitness]:
     one array over the column pairs k < k', so memory is O(n * m^2), never a
     whole n^2 x m^2 array.
     """
-    exact = _integer_form(t)
-    if exact is None:
-        a = np.array(t.as_floats())
-    else:
-        cells, total = exact
+    cells, total, div = t._form
+    dtype = np.float64
+    if t.is_exact:
         big = max(map(max, cells))
-        a = np.array(cells, dtype=np.int64 if 2 * big * big < 2**63 else object)
+        dtype = np.int64 if 2 * big * big < 2**63 else object
+    a = np.array(cells, dtype=dtype)
     # The column pairs k < k' in loop order (`np.triu_indices(m, 1)` lists the
     # same pairs, but its first call alone adds about 0.2 MB of resident memory).
     k, k2 = np.array(list(itertools.combinations(range(t.n_cols), 2)),
@@ -347,7 +340,7 @@ def _max_minor(t: JointTable) -> Optional[MinorWitness]:
         if mags.flat[i] > best_abs:
             best_abs = mags.flat[i]
             later_row, pair = divmod(i, k.size)
-            best = (j, j + 1 + later_row, int(k[pair]), int(k2[pair]), minors.flat[i])
+            best = (j, j + 1 + later_row, int(k[pair]), int(k2[pair]), minors.item(i))
         del minors, mags
     if best is None:
         return None
@@ -357,22 +350,15 @@ def _max_minor(t: JointTable) -> Optional[MinorWitness]:
         cols=(c, c2),
         row_labels=(t.row_outcomes.labels[j], t.row_outcomes.labels[j2]),
         col_labels=(t.col_outcomes.labels[c], t.col_outcomes.labels[c2]),
-        value=float(value) if exact is None else Fraction(int(value), total * total),
+        value=div(value, total * total),
     )
 
 
-def _residual(t: JointTable, marg: Marginals) -> Value:
+def _residual(t: JointTable) -> Value:
     """max |probs[j][k] - row[j] * col[k]|, the distance from the marginal outer product."""
-    exact = _integer_form(t)
-    if exact is None:
-        return max(
-            abs(t.probs[j][k] - marg.row.probs[j] * marg.col.probs[k])
-            for j in range(t.n_rows)
-            for k in range(t.n_cols)
-        )
-    cells, total = exact
+    cells, total, div = t._form
     col_sums = [sum(c) for c in zip(*cells)]
-    return Fraction(
+    return div(
         max(abs(total * c - row_sum * s)
             for r, row_sum in zip(cells, map(sum, cells)) for c, s in zip(r, col_sums)),
         total * total,
@@ -400,7 +386,7 @@ def is_product(t: JointTable, tol: Value | None = None) -> EntanglementReport:
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     marg = marginals(t)
-    residual = _residual(t, marg)
+    residual = _residual(t)
     arithmetic: Literal["exact", "float"] = "exact" if t.is_exact else "float"
     witness = None if residual <= tol else _max_minor(t)
     verdict: Literal["product", "entangled"] = "product" if witness is None else "entangled"
@@ -420,7 +406,7 @@ def factorization_certificate(
     marginal entry is simply zero.
     """
     marg = marginals(t)
-    if _residual(t, marg) <= default_tolerance(t):
+    if _residual(t) <= default_tolerance(t):
         return marg.row, marg.col
     return None
 

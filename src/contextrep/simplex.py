@@ -212,7 +212,7 @@ def _classify_batch(
     tie mask, in row order.
     """
     n = g.shape[1]
-    scaled_tol = tol * (g @ np.ones(n))
+    scaled_tol = tol * np.einsum("ij->i", g)  # a row sums alike alone and in any batch
     with np.errstate(invalid="ignore"):
         r = np.multiply(g, inv_v, out=g)
     winners = r.argmin(axis=1)  # a row's first NaN, if it has one

@@ -4,10 +4,11 @@ Each oracle reaches the same answer as the library through a different
 algorithm: region membership by solving linear systems instead of ratio
 comparisons, region measure by rejection counting instead of a closed form,
 factorization by exhaustive rational search instead of minors, the strongest
-2x2 minor by a scalar loop over the table's own entries instead of a
-vectorized integer kernel, the ratio rule by an n-wide tie matrix instead of
-the scale-free kernel with its rare-row path.  Expected values asserted in
-the tests were computed from these oracles once and frozen.
+2x2 minor, the marginals and the residual by scalar formulas over the
+table's own entries instead of its (C, T, div) form and vectorized kernel,
+the ratio rule by an n-wide tie matrix instead of the scale-free kernel with
+its rare-row path.  Expected values asserted in the tests were computed from
+these oracles once and frozen.
 """
 
 from __future__ import annotations
@@ -140,6 +141,29 @@ def max_minor_oracle(
                         best_abs = abs(value)
                         best = ((j, j2), (k, k2), value)
     return best
+
+
+def sums_oracle(probs: Sequence[Sequence]) -> tuple[list, list]:
+    """(row sums, column sums) of the entries themselves, in index order."""
+    rows = [sum(row) for row in probs]
+    cols = [sum(probs[j][k] for j in range(len(probs))) for k in range(len(probs[0]))]
+    return rows, cols
+
+
+def marginals_oracle(probs: Sequence[Sequence]) -> tuple[list, list]:
+    """The row and column sums as probabilities: a float sum above 1 is 1.0."""
+    rows, cols = sums_oracle(probs)
+    return [1.0 if s > 1 else s for s in rows], [1.0 if s > 1 else s for s in cols]
+
+
+def residual_oracle(probs: Sequence[Sequence]) -> object:
+    """max |p_jk - row_j * col_k| over the entries, in (j, k) order, with the raw sums."""
+    rows, cols = sums_oracle(probs)
+    return max(
+        abs(probs[j][k] - rows[j] * cols[k])
+        for j in range(len(probs))
+        for k in range(len(probs[0]))
+    )
 
 
 def binomial_three_sigma(p: float, trials: int) -> float:

@@ -31,8 +31,14 @@ from contextrep import (
     tensor_product_complex,
     tensor_product_real,
 )
+from contextrep.cli import _joint_sections
 from contextrep.joint import _max_minor
-from oracles import exact_factorization_search, max_minor_oracle
+from oracles import (
+    exact_factorization_search,
+    marginals_oracle,
+    max_minor_oracle,
+    residual_oracle,
+)
 
 CTX = ContextId("test", "state", "measurement")
 
@@ -399,6 +405,74 @@ class TestMaxMinor:
         for probs in (((0.25, 0.75),), ((0.25,), (0.75,))):
             t = JointTable(*labelled(probs), probs)
             assert _max_minor(t) is None
+
+
+def assert_same_entry(got, expected):
+    """One value of one type; floats to the last bit."""
+    assert type(got) is type(expected)
+    if isinstance(expected, float):
+        assert got.hex() == expected.hex()
+    else:
+        assert got == expected
+
+
+def float_report(t):
+    """The report of `entanglement --float`: the table in floats, at its default tolerance."""
+    cfg = {"arithmetic": "float", "tolerance": None, "phases": None}
+    return _joint_sections(t, cfg, "table")["report"]
+
+
+@st.composite
+def product_counts(draw):
+    """Outer products of two nonzero count vectors, up to 7x7 and 2^80 per cell."""
+    cell = st.integers(0, draw(st.sampled_from((9, 2**40))))
+    u = draw(st.lists(cell, min_size=1, max_size=7).filter(any))
+    v = draw(st.lists(cell, min_size=1, max_size=7).filter(any))
+    return [[a * b for b in v] for a in u]
+
+
+class TestOneForm:
+    """Marginals and residual read the table's (C, T, div) form, with no exact/float fork."""
+
+    @settings(max_examples=300)
+    @given(minor_counts(), st.sampled_from(("counts", "fractions", "floats", "int zeros")))
+    def test_marginals_and_residual_match_scalar_formulas(self, counts, kind):
+        """Each form of a table gives the scalar formulas' values and entry types.
+
+        "int zeros" is the float table with its zero entries given as the int 0,
+        so an all-zero row or column sums to an int.
+        """
+        t = JointTable.from_counts(*labelled(counts), counts)
+        if kind == "fractions":
+            t = JointTable(t.row_outcomes, t.col_outcomes, t.probs)
+        elif kind == "floats":
+            t = JointTable(t.row_outcomes, t.col_outcomes, t.as_floats())
+        elif kind == "int zeros":
+            probs = tuple(tuple(p or 0 for p in row) for row in t.as_floats())
+            t = JointTable(t.row_outcomes, t.col_outcomes, probs)
+        report = is_product(t)
+        rows, cols = marginals_oracle(t.probs)
+        for got, expected in zip(report.marginals.row.probs + report.marginals.col.probs,
+                                 rows + cols, strict=True):
+            assert_same_entry(got, expected)
+        assert_same_entry(report.residual, residual_oracle(t.probs))
+
+    @settings(max_examples=200)
+    @given(product_counts())
+    def test_exact_and_float_verdicts_agree_on_rational_products(self, counts):
+        t = JointTable.from_counts(*labelled(counts), counts)
+        assert is_product(t).verdict == "product"
+        report = float_report(t)
+        assert (report["arithmetic"], report["verdict"]) == ("float", "product")
+
+    def test_float_sum_above_one_is_one(self):
+        """One row of four entries c / T sums to 1 + 2^-52 in floats; the marginal is 1.0."""
+        counts = [[151, 283879, 164975, 3]]
+        t = JointTable.from_counts(*labelled(counts), counts)
+        floats = JointTable(t.row_outcomes, t.col_outcomes, t.as_floats())
+        assert sum(floats.probs[0]) == 1 + 2**-52
+        assert marginals(floats).row.probs == (1.0,)
+        assert float_report(t)["verdict"] == "product"
 
 
 class TestFactorizationCertificate:

@@ -23,7 +23,7 @@ from contextrep import (
     region_measure_ratio,
     sample_hidden_variables,
 )
-from contextrep.simplex import _classify_batch, _reciprocals
+from contextrep.simplex import _MC_BATCH, _classify_batch, _reciprocals
 from oracles import (
     BETA_CDF_N4_AT_QUARTER,
     binomial_three_sigma,
@@ -321,7 +321,7 @@ def dyadic_distributions(draw):
 
 def row_sums(lam):
     """Sums of the rows of a 2-D array, taken as the kernel takes them."""
-    return lam @ np.ones(lam.shape[1])
+    return np.einsum("ij->i", lam)
 
 
 @st.composite
@@ -380,9 +380,9 @@ class TestKernelOracle:
         """The scale-free kernel classifies every row as the n-wide tie rule does.
 
         The kernel sees the points scaled by a power of two, so its ratios and
-        tie bounds are the oracle's, scaled exactly.  The classifier takes the
-        row sum of one row, which can differ in the last bit from the same
-        row's sum within a batch, so each side gets the oracle at its own sum.
+        tie bounds are the oracle's, scaled exactly.  A row sums the same alone
+        as within its batch, so the classifier, which takes one row, gives each
+        row the result that row has inside the batch.
         """
         values = data.draw(dyadic_distributions())
         v = make_context(values)
@@ -390,11 +390,18 @@ class TestKernelOracle:
         g = lam * 2.0 ** data.draw(st.integers(-30, 30))
         counts, ties = _classify_batch(g, _reciprocals(v), BOUNDARY_TOLERANCE)
         assert (counts.tolist(), ties.tolist()) == oracle_tally(values, lam)
-        for row in lam:
-            row_counts, row_ties = oracle_tally(values, row[None])
-            expected = (
-                Boundary(tuple(np.flatnonzero(row_ties[0]).tolist()))
-                if row_ties
-                else Deterministic(row_counts.index(1))
+        tol = BOUNDARY_TOLERANCE * row_sums(lam)[:, None]
+        winners, masks = classify_batch_oracle(np.array(values), lam, tol)
+        for row, winner, mask in zip(lam, winners, masks):
+            in_batch = (
+                Boundary(tuple(np.flatnonzero(mask).tolist()))
+                if mask.sum() > 1
+                else Deterministic(int(winner))
             )
-            assert classify_hidden_variable(v, tuple(row)) == expected
+            assert classify_hidden_variable(v, tuple(row)) == in_batch
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    def test_batch_sums_are_each_rows_own_sum(self, n):
+        """Every row of a Monte Carlo batch sums exactly as it does alone."""
+        g = np.random.default_rng(n).standard_exponential((_MC_BATCH, n))
+        assert row_sums(g).tolist() == [row_sums(row[None])[0] for row in g]
