@@ -23,7 +23,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
@@ -145,21 +144,12 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     trials = cfg["trials"] if cfg["trials"] is not None else DEFAULT_TRIALS
     seed = cfg["seed"] if cfg["seed"] is not None else 0
     mc = monte_carlo_measurement(v, trials, seed)
-    bounds = {
-        label: 3.0 * math.sqrt(float(q) * (1.0 - float(q)) / trials)
-        for label, q in zip(counts.outcomes.labels, p.probs)
-    }
-    freqs = mc.frequencies.as_floats()
-    passed = all(
-        abs(f - float(q)) <= bounds[label]
-        for label, f, q in zip(counts.outcomes.labels, freqs, p.probs)
-    )
     return {
         "command": "simulate",
         "config": cfg,
         **mc.to_json_dict(),
-        "three_sigma_bounds": bounds,
-        "pass": passed,
+        "three_sigma_bounds": mc.three_sigma_bounds(),
+        "pass": mc.within_three_sigma,
     }
 
 

@@ -89,6 +89,8 @@ class JointTable:
 
     def __post_init__(self) -> None:
         if self.probs is None:  # from counts alone: one check, as InvalidCounts
+            if self.counts is None:
+                raise InvalidJointTable("probabilities or counts are required")
             counts, total = count_matrix(self.counts, self.n_rows, self.n_cols, InvalidCounts)
             object.__setattr__(self, "counts", counts)
             object.__setattr__(self, "probs",

@@ -153,29 +153,45 @@ def simulate_vessels(cfg: VesselsConfig) -> VesselsOutcomeCounts:
     strictly on opposite sides of the threshold.
     """
     rng = np.random.default_rng(cfg.seed)
+    t = cfg.threshold
 
-    def draw(size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Left then right volumes for `size` trials, in the RNG's stream order."""
-        left = rng.uniform(0.0, cfg.capacity, size)
+    def draw(left: np.ndarray, right: np.ndarray) -> None:
+        """Left then right volumes into the buffers, in the RNG's stream order.
+
+        random() * capacity is uniform(0.0, capacity) bit for bit: that
+        computes 0.0 + capacity * random() from the same stream.
+        """
+        rng.random(out=left)
+        left *= cfg.capacity
         if cfg.mode == "separate":
-            return left, rng.uniform(0.0, cfg.capacity, size)
-        return left, cfg.capacity - left
+            rng.random(out=right)
+            right *= cfg.capacity
+        else:
+            np.subtract(cfg.capacity, left, out=right)
 
+    rows = min(cfg.trials, 1 << 18)
+    volumes, more = np.empty((2, rows)), np.empty((2, rows), dtype=bool)
     mm = ml = lm = ll = 0
-    for size in trial_chunks(cfg.trials):
-        left, right = draw(size)
-        hits = (left == cfg.threshold) | (right == cfg.threshold)
+    for size in trial_chunks(cfg.trials, rows):
+        left, right = volumes[:, :size]
+        left_more, right_more = more[:, :size]
+        draw(left, right)
+        hits = np.equal(left, t, out=left_more)
+        hits |= np.equal(right, t, out=right_more)
         while hits.any():
             idx = np.flatnonzero(hits)
-            left[idx], right[idx] = draw(idx.size)
+            redrawn = np.empty(idx.size), np.empty(idx.size)
+            draw(*redrawn)
+            left[idx], right[idx] = redrawn
             hits = np.zeros(size, dtype=bool)
-            hits[idx] = (left[idx] == cfg.threshold) | (right[idx] == cfg.threshold)
-        left_more = left > cfg.threshold
-        right_more = right > cfg.threshold
-        mm += int(np.count_nonzero(left_more & right_more))
-        ml += int(np.count_nonzero(left_more & ~right_more))
-        lm += int(np.count_nonzero(~left_more & right_more))
-        ll += int(np.count_nonzero(~left_more & ~right_more))
+            hits[idx] = (left[idx] == t) | (right[idx] == t)
+        n_left = int(np.count_nonzero(np.greater(left, t, out=left_more)))
+        n_right = int(np.count_nonzero(np.greater(right, t, out=right_more)))
+        both = int(np.count_nonzero(np.logical_and(left_more, right_more, out=left_more)))
+        mm += both
+        ml += n_left - both
+        lm += n_right - both
+        ll += size - n_left - n_right + both
     return VesselsOutcomeCounts(mm, ml, lm, ll)
 
 

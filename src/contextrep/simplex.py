@@ -27,6 +27,11 @@ the rule to one point (`classify_hidden_variable`) or a batch of draws
 (`monte_carlo_measurement`).  Its one tie mask settles each row it gives a
 single index; only the rare rest take the exact path, which builds the 0/0 mask.
 
+Monte Carlo draws come from one generator stream in batch order: batch i is
+always stream segment i, whichever thread takes it.  Batches are classified
+on up to 4 CPUs and their counts summed, so the counts for a seed do not
+depend on the CPU count.
+
 Region measure
 --------------
 Replacing vertex h_j by v scales the simplex volume by the j-th barycentric
@@ -37,8 +42,11 @@ of lambda therefore reproduces the outcome probabilities, which is what
 
 from __future__ import annotations
 
+import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Any, Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -56,7 +64,7 @@ from .probability import (
 BOUNDARY_TOLERANCE = 1e-12
 
 #: Rows per Monte Carlo batch, so a batch stays in a core's cache through the
-#: kernel's passes.  Rows are drawn in stream order and classified one by one.
+#: kernel's passes.  Rows are drawn in stream order, one batch at a time.
 _MC_BATCH = 1 << 13
 
 
@@ -190,6 +198,61 @@ def trial_chunks(trials: int, chunk: int = 1 << 18) -> Iterator[int]:
         yield min(chunk, trials - start)
 
 
+def _mc_workers() -> int:
+    """Threads that classify Monte Carlo batches: the CPUs this process may run on, at most 4."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    # One generator stream feeds every classifier, and at n = 2 the draw alone
+    # is 9.1 of 39.7 ns per trial, so it cannot keep more than about 4 busy.
+    return min(cpus, 4)
+
+
+def _exponential_batches(
+    rng: np.random.Generator, trials: int, n: int, work: Callable[[np.ndarray], Any]
+) -> list:
+    """`work` of each batch of `trials` rows of n Exp(1) draws, in no particular order.
+
+    Batch i is always segment i of the stream, of size i of `trial_chunks`:
+    one lock covers taking a size and filling it, so draws keep stream order,
+    and `work` runs outside it, on up to `_mc_workers()` threads (numpy
+    releases the GIL in both).  One batch runs on the calling thread and
+    starts none.  `work` may overwrite its batch.  The first exception any
+    batch raises stops the rest and is raised here, after every thread ended.
+    """
+    sizes = trial_chunks(trials, _MC_BATCH)
+    workers = min(_mc_workers(), math.ceil(trials / _MC_BATCH))
+    lock = threading.Lock()
+    results: list = []
+    errors: list[BaseException] = []
+
+    def worker() -> None:
+        g = np.empty((min(trials, _MC_BATCH), n))
+        try:
+            while True:
+                with lock:
+                    size = 0 if errors else next(sizes, 0)
+                    if not size:
+                        return
+                    rng.standard_exponential(out=g[:size])  # the stream of exponential(1.0, size)
+                results.append(work(g[:size]))
+        except BaseException as exc:  # raised again by the calling thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        worker()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def _reciprocals(v: RealContextVector) -> np.ndarray:
     """1 / v_k per outcome: +inf where v_k = 0, finite (at most the largest float) elsewhere."""
     values = np.array(v.as_floats())
@@ -251,6 +314,23 @@ class MonteCarloMeasurement:
         freqs = self.frequencies.as_floats()
         return max(abs(f - t) for f, t in zip(freqs, self.target.as_floats()))
 
+    def three_sigma_bounds(self) -> dict[str, float]:
+        """Three binomial standard deviations of each outcome's frequency, by label."""
+        return {
+            label: 3.0 * math.sqrt(q * (1.0 - q) / self.trials)
+            for label, q in zip(self.target.outcomes.labels, self.target.as_floats())
+        }
+
+    @property
+    def within_three_sigma(self) -> bool:
+        """Whether every frequency lies within `three_sigma_bounds` of its target."""
+        bounds = self.three_sigma_bounds()
+        return all(
+            abs(f - q) <= bounds[label]
+            for label, f, q in zip(self.target.outcomes.labels,
+                                   self.frequencies.as_floats(), self.target.as_floats())
+        )
+
     def to_json_dict(self) -> dict:
         labels = self.target.outcomes.labels
         freqs = self.frequencies.as_floats()
@@ -277,16 +357,13 @@ def monte_carlo_measurement(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    rng = np.random.default_rng(seed)
     inv_v = _reciprocals(v)
-    g = np.empty((min(trials, _MC_BATCH), v.n))
-    counts = np.zeros(v.n, dtype=np.int64)
-    boundary_hits = 0
-    for size in trial_chunks(trials, _MC_BATCH):
-        rng.standard_exponential(out=g[:size])  # the stream of exponential(1.0, size)
-        batch_counts, ties = _classify_batch(g[:size], inv_v, BOUNDARY_TOLERANCE)
-        counts += batch_counts
-        boundary_hits += len(ties)
+    batches = _exponential_batches(
+        np.random.default_rng(seed), trials, v.n,
+        lambda g: _classify_batch(g, inv_v, BOUNDARY_TOLERANCE),
+    )
+    counts = sum(batch_counts for batch_counts, _ in batches)
+    boundary_hits = sum(len(ties) for _, ties in batches)
     if boundary_hits == trials:
         raise InvalidHiddenVariable("every trial hit a region boundary; no frequencies")
     return MonteCarloMeasurement(

@@ -175,3 +175,31 @@ def binomial_three_sigma(p: float, trials: int) -> float:
 # dimension n is Beta(1, n-1); CDF F(x) = 1 - (1-x)^(n-1).  Frozen value for
 # n = 4 at x = 1/4: 1 - (3/4)^3.
 BETA_CDF_N4_AT_QUARTER = 0.578125
+
+
+def vessels_oracle(
+    mode: str, trials: int, seed: int, capacity: float, threshold: float
+) -> tuple[int, int, int, int]:
+    """(MM, ML, LM, LL) from `uniform(0, capacity)` draws and one mask per outcome.
+
+    Draws follow the simulator's stream order: per 2^18-trial chunk, every
+    left volume, then every right one in separate mode; a trial with a side
+    exactly on the threshold draws both sides again, in trial order.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        left = rng.uniform(0.0, capacity, size)
+        right = rng.uniform(0.0, capacity, size) if mode == "separate" else capacity - left
+        return left, right
+
+    tally = [0, 0, 0, 0]
+    for start in range(0, trials, 1 << 18):
+        left, right = draw(min(1 << 18, trials - start))
+        hits = np.flatnonzero((left == threshold) | (right == threshold))
+        while hits.size:
+            left[hits], right[hits] = draw(hits.size)
+            hits = hits[(left[hits] == threshold) | (right[hits] == threshold)]
+        for i, (lm, rm) in enumerate([(True, True), (True, False), (False, True), (False, False)]):
+            tally[i] += int(np.count_nonzero(((left > threshold) == lm) & ((right > threshold) == rm)))
+    return tuple(tally)

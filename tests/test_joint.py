@@ -103,6 +103,10 @@ class TestJointTable:
         with pytest.raises(InvalidJointTable):
             JointTable(ROWS, COLS, ((0.5, 0.5), (0.5, 0.5)))
 
+    def test_rejects_missing_probs_and_counts(self):
+        with pytest.raises(InvalidJointTable, match="probabilities or counts are required"):
+            JointTable(ROWS, COLS, None)
+
     def test_rejects_counts_probs_mismatch(self):
         with pytest.raises(InvalidJointTable):
             JointTable(

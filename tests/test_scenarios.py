@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from contextrep import (
     simulate_vessels,
     vessels_joint_table,
 )
-from oracles import binomial_three_sigma
+from oracles import binomial_three_sigma, vessels_oracle
 
 
 class TestAnimalActsDataset:
@@ -155,6 +156,16 @@ class TestSimulateVessels:
         trials = (1 << 18) + 11
         counts = simulate_vessels(VesselsConfig(mode="connected", trials=trials, seed=8))
         assert counts.total == trials
+
+    @pytest.mark.parametrize("mode", ["separate", "connected"])
+    @pytest.mark.parametrize("trials", [1_000, (1 << 18) + 11])
+    def test_threshold_hit_is_redrawn(self, mode, trials):
+        """The first left volume lands exactly on the threshold, so that trial is redrawn."""
+        capacity = 20.0
+        threshold = capacity * np.random.default_rng(5).random()
+        cfg = VesselsConfig(mode, trials, 5, capacity, threshold)
+        c = simulate_vessels(cfg)
+        assert (c.mm, c.ml, c.lm, c.ll) == vessels_oracle(mode, trials, 5, capacity, threshold)
 
     def test_reproducible(self):
         cfg = VesselsConfig(mode="separate", trials=10_000, seed=77)

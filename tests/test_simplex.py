@@ -1,6 +1,9 @@
 """Simplex representation, region classification, and hidden-variable sampling."""
 
+import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +18,7 @@ from contextrep import (
     Deterministic,
     HiddenVariable,
     InvalidHiddenVariable,
+    MonteCarloMeasurement,
     OutcomeSet,
     ProbabilityVector,
     build_real_context,
@@ -23,7 +27,8 @@ from contextrep import (
     region_measure_ratio,
     sample_hidden_variables,
 )
-from contextrep.simplex import _MC_BATCH, _classify_batch, _reciprocals
+import contextrep.simplex as simplex
+from contextrep.simplex import _MC_BATCH, _classify_batch, _mc_workers, _reciprocals
 from oracles import (
     BETA_CDF_N4_AT_QUARTER,
     binomial_three_sigma,
@@ -229,6 +234,21 @@ class TestMonteCarloMeasurement:
         with pytest.raises(ValueError):
             monte_carlo_measurement(v, trials=0, seed=0)
 
+    def test_three_sigma_bounds(self):
+        v = make_context((Fraction(1, 4), Fraction(3, 4)))
+        mc = monte_carlo_measurement(v, trials=1_000, seed=0)
+        assert mc.three_sigma_bounds() == {
+            "o0": binomial_three_sigma(0.25, 1_000),
+            "o1": binomial_three_sigma(0.75, 1_000),
+        }
+        assert mc.within_three_sigma
+
+    def test_outside_three_sigma(self):
+        """0.30 is 0.05 from 1/4, beyond its bound of 3 * sqrt(3/16 / 1000) = 0.041."""
+        v = make_context((Fraction(1, 4), Fraction(3, 4)))
+        assert MonteCarloMeasurement(v, 1_000, 0, (250, 750), 0).within_three_sigma
+        assert not MonteCarloMeasurement(v, 1_000, 0, (300, 700), 0).within_three_sigma
+
 
 #: Counts and boundary hits of monte_carlo_measurement, recorded before the
 #: ratio rule and the trial batching were rewritten.  1,000 trials fit in one
@@ -300,6 +320,67 @@ class TestSeedContract:
                 boundary_hits += 1
         mc = monte_carlo_measurement(v, trials, seed)
         assert (mc.counts, mc.boundary_hits) == (tuple(counts), boundary_hits)
+
+
+class TestParallelBatches:
+    @pytest.fixture
+    def short_switch_interval(self):
+        """Threads switch every microsecond, so a lost update between workers would show."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("case, trials, seed", sorted(PINNED_MONTE_CARLO))
+    def test_worker_count_leaves_counts_unchanged(
+        self, case, trials, seed, monkeypatch, short_switch_interval
+    ):
+        """1, 2 or 3 workers, also more than the CPUs here, give the pinned counts."""
+        v = weighted_context(PINNED_WEIGHTS[case])
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simplex, "_mc_workers", lambda: workers)
+            mc = monte_carlo_measurement(v, trials, seed)
+            assert (mc.counts, mc.boundary_hits) == PINNED_MONTE_CARLO[case, trials, seed]
+
+    def test_batch_exception_reaches_caller_and_threads_end(self, monkeypatch):
+        calls = itertools.count(1)
+
+        def classify(g, inv_v, tol):
+            if next(calls) == 3:
+                raise RuntimeError("batch 3 failed")
+            return _classify_batch(g, inv_v, tol)
+
+        monkeypatch.setattr(simplex, "_mc_workers", lambda: 3)
+        monkeypatch.setattr(simplex, "_classify_batch", classify)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="batch 3 failed"):
+            monte_carlo_measurement(make_context((0.5, 0.5)), 10 * _MC_BATCH, seed=0)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("trials", [1, _MC_BATCH])
+    def test_single_batch_starts_no_thread(self, trials, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a single-batch job started a thread")
+
+        monkeypatch.setattr(simplex, "_mc_workers", lambda: 3)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        mc = monte_carlo_measurement(make_context((0.5, 0.5)), trials, seed=0)
+        assert sum(mc.counts) + mc.boundary_hits == trials
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 3), (64, 4)])
+    def test_workers_follow_affinity_up_to_four(self, cpus, workers, monkeypatch):
+        monkeypatch.setattr(simplex.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert _mc_workers() == workers
+
+    def test_workers_without_affinity_use_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(simplex.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simplex.os, "cpu_count", lambda: None)
+        assert _mc_workers() == 1
+        monkeypatch.setattr(simplex.os, "cpu_count", lambda: 2)
+        assert _mc_workers() == 2
 
 
 @st.composite
