@@ -1,11 +1,4 @@
-"""Command-line front end.
-
-Subcommands
------------
-represent     counts file -> simplex vector + complex amplitudes (JSON)
-simulate      counts file -> hidden-variable Monte Carlo vs target (JSON)
-entanglement  joint counts file -> product/entangled report + joint vectors
-scenario      built-in pipelines: animal-acts, vessels
+"""Command-line front end; `contextrep --help` lists the subcommands.
 
 Counts files are CSV (`label,count`) or JSON (`{"label": count}`); joint
 counts are CSV (`row_label,col_label,count`) or JSON
@@ -63,7 +56,10 @@ T = TypeVar("T")
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # unreadable input, not a semantic error
+        raise ParseError(f"{path} is not UTF-8 text: byte {exc.start} ({exc.reason})") from None
 
 
 def _parse_file(path: str, parse_json: Callable[[str], T], parse_csv: Callable[[str], T]) -> T:
@@ -83,10 +79,6 @@ def _load_phases(path: Optional[str], labels: Sequence[str]) -> Optional[PhaseAs
     if not isinstance(data, dict):
         raise InvalidPhases("phases file must be a JSON object mapping labels to radians")
     return PhaseAssignment.from_mapping(data, labels)
-
-
-def _context_for(path: str, measurement: str) -> ContextId:
-    return ContextId(entity=Path(path).stem, state="observed", measurement=measurement)
 
 
 def _moduli_entries(w: ComplexContextVector) -> dict:
@@ -116,15 +108,23 @@ def _joint_sections(t: JointTable, cfg: dict, table_key: str) -> dict:
     }
 
 
-def cmd_represent(args: argparse.Namespace) -> dict:
-    cfg = _config_from(args)
-    counts = _parse_file(args.input, parse_counts_json, parse_counts_csv)
-    p = probabilities_from_counts(counts)
-    ctx = _context_for(args.input, "outcome-counts")
+def _counts_input(path: str) -> tuple[CountTable, ProbabilityVector, ContextId]:
+    """The counts file, its probability vector and its context, named after the file."""
+    counts = _parse_file(path, parse_counts_json, parse_counts_csv)
+    ctx = ContextId(entity=Path(path).stem, state="observed", measurement="outcome-counts")
+    return counts, probabilities_from_counts(counts), ctx
+
+
+def _trials_and_seed(cfg: dict) -> tuple[int, int]:
+    """The simulation's trials and seed: the flags, else DEFAULT_TRIALS and 0."""
+    return (cfg["trials"] if cfg["trials"] is not None else DEFAULT_TRIALS,
+            cfg["seed"] if cfg["seed"] is not None else 0)
+
+
+def cmd_represent(args: argparse.Namespace, cfg: dict) -> dict:
+    counts, p, ctx = _counts_input(args.input)
     w = build_complex_context(p, ctx, phases=_load_phases(cfg["phases"], counts.outcomes.labels))
     return {
-        "command": "represent",
-        "config": cfg,
         "context": ctx.as_dict(),
         "counts": counts.as_mapping(),
         "total": counts.total,
@@ -135,32 +135,19 @@ def cmd_represent(args: argparse.Namespace) -> dict:
     }
 
 
-def cmd_simulate(args: argparse.Namespace) -> dict:
-    cfg = _config_from(args)
-    counts = _parse_file(args.input, parse_counts_json, parse_counts_csv)
-    p = probabilities_from_counts(counts)
-    ctx = _context_for(args.input, "outcome-counts")
-    v = build_real_context(p, ctx)
-    trials = cfg["trials"] if cfg["trials"] is not None else DEFAULT_TRIALS
-    seed = cfg["seed"] if cfg["seed"] is not None else 0
-    mc = monte_carlo_measurement(v, trials, seed)
+def cmd_simulate(args: argparse.Namespace, cfg: dict) -> dict:
+    _, p, ctx = _counts_input(args.input)
+    mc = monte_carlo_measurement(build_real_context(p, ctx), *_trials_and_seed(cfg))
     return {
-        "command": "simulate",
-        "config": cfg,
         **mc.to_json_dict(),
         "three_sigma_bounds": mc.three_sigma_bounds(),
         "pass": mc.within_three_sigma,
     }
 
 
-def cmd_entanglement(args: argparse.Namespace) -> dict:
-    cfg = _config_from(args)
+def cmd_entanglement(args: argparse.Namespace, cfg: dict) -> dict:
     t = _parse_file(args.input, parse_joint_json, parse_joint_csv)
-    return {
-        "command": "entanglement",
-        "config": cfg,
-        **_joint_sections(t, cfg, "table"),
-    }
+    return _joint_sections(t, cfg, "table")
 
 
 def _poll_section(counts: CountTable, p: ProbabilityVector, ctx: ContextId) -> dict:
@@ -171,13 +158,10 @@ def _poll_section(counts: CountTable, p: ProbabilityVector, ctx: ContextId) -> d
     }
 
 
-def cmd_scenario_animal_acts(args: argparse.Namespace) -> dict:
-    cfg = _config_from(args)
+def cmd_scenario_animal_acts(args: argparse.Namespace, cfg: dict) -> dict:
     dataset = animal_acts_dataset()
     tables = animal_acts_tables(dataset)
     return {
-        "command": "scenario animal-acts",
-        "config": cfg,
         "animal": _poll_section(
             dataset.animal_counts, tables.animal, ContextId("animal-acts", "survey", "animal")
         ),
@@ -188,19 +172,12 @@ def cmd_scenario_animal_acts(args: argparse.Namespace) -> dict:
     }
 
 
-def cmd_scenario_vessels(args: argparse.Namespace) -> dict:
-    cfg = _config_from(args)
-    vessels_cfg = VesselsConfig(
-        mode=args.mode,
-        trials=cfg["trials"] if cfg["trials"] is not None else DEFAULT_TRIALS,
-        seed=cfg["seed"] if cfg["seed"] is not None else 0,
-        capacity=args.capacity,
-        threshold=args.threshold,
-    )
+def cmd_scenario_vessels(args: argparse.Namespace, cfg: dict) -> dict:
+    trials, seed = _trials_and_seed(cfg)
+    vessels_cfg = VesselsConfig(mode=args.mode, trials=trials, seed=seed,
+                                capacity=args.capacity, threshold=args.threshold)
     outcome_counts = simulate_vessels(vessels_cfg)
     return {
-        "command": "scenario vessels",
-        "config": cfg,
         "vessels": dataclasses.asdict(vessels_cfg),
         "outcome_counts": outcome_counts.as_mapping(),
         **_joint_sections(vessels_joint_table(outcome_counts), cfg, "joint"),
@@ -241,12 +218,13 @@ _FLAGS = {
 }
 
 
-def _add_subcommand(sub, name: str, handler, summary: str, *flags: str) -> argparse.ArgumentParser:
-    """A subcommand taking the named flags plus --output, and nothing else."""
-    parser = sub.add_parser(name, help=summary)
+def _add_subcommand(sub, command: str, handler, summary: str,
+                    *flags: str) -> argparse.ArgumentParser:
+    """The subcommand whose report names `command`: the named flags plus --output, no other."""
+    parser = sub.add_parser(command.rsplit(" ", 1)[-1], help=summary)
     for flag in (*flags, "--output"):
         parser.add_argument(flag, **_FLAGS[flag])
-    parser.set_defaults(handler=handler)
+    parser.set_defaults(handler=handler, report_command=command)
     return parser
 
 
@@ -276,10 +254,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scn = sub.add_parser("scenario", help="run a built-in scenario")
     scn_sub = p_scn.add_subparsers(dest="scenario", required=True)
 
-    _add_subcommand(scn_sub, "animal-acts", cmd_scenario_animal_acts,
+    _add_subcommand(scn_sub, "scenario animal-acts", cmd_scenario_animal_acts,
                     "embedded survey dataset, full pipeline", "--tolerance", "--float")
 
-    p_vs = _add_subcommand(scn_sub, "vessels", cmd_scenario_vessels,
+    p_vs = _add_subcommand(scn_sub, "scenario vessels", cmd_scenario_vessels,
                            "two-vessel water experiment simulation",
                            "--seed", "--trials", "--tolerance", "--float")
     p_vs.add_argument("--mode", choices=("separate", "connected"), required=True)
@@ -303,7 +281,8 @@ def _emit(report: dict, output: Optional[str]) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        report = args.handler(args)
+        cfg = _config_from(args)
+        report = {"command": args.report_command, "config": cfg, **args.handler(args, cfg)}
         _emit(report, args.output)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,12 +15,12 @@ fail get a witness: the 2x2 minor of maximal absolute value, the first one in
 hand.  Tables built from integer counts are decided exactly with zero
 tolerance; float tables get a small default tolerance.
 
-Every table is decided through one form (C, T, div), built once, with
+Every table is decided through one form (C, T, div, R, K), built once, with
 probs == C / T: the counts over their total; for a rational table without
 counts, the probabilities times the lcm T of their denominators; for a float
 table, its own entries over T = 1, with div(x, 1) == x (but a sum rounded
-above 1 is 1.0), so every float bit and entry type is kept.  With row sums R
-and column sums K, the marginals are div(R_j, T) and div(K_k, T), the
+above 1 is 1.0), so every float bit and entry type is kept.  R and K are the
+row and column sums of C; the marginals are div(R_j, T) and div(K_k, T), the
 residual is div(max |T*C_jk - R_j*K_k|, T^2), and each 2x2 minor of probs is
 div of the same minor of C by T^2.  So exact tables are decided in integers,
 fraction-free (Bareiss 1968), with `Fraction` built only for these reported
@@ -67,6 +67,9 @@ from .simplex import RealContextVector
 
 #: Default product-test tolerance for tables carried in floating point.
 FLOAT_TOLERANCE = 1e-9
+
+Cells = tuple[tuple[Value, ...], ...]
+Sums = tuple[Value, ...]
 
 
 def _over_one(x: Value, total: int) -> Value:
@@ -126,16 +129,18 @@ class JointTable:
         return all(is_exact_value(p) for row in self.probs for p in row)
 
     @functools.cached_property
-    def _form(self) -> tuple[tuple[tuple[Value, ...], ...], int, Callable[[Value, int], Value]]:
-        """(C, T, div) with probs == C / T, as the module docstring sets out."""
+    def _form(self) -> tuple[Cells, int, Callable[[Value, int], Value], Sums, Sums]:
+        """(C, T, div, R, K): probs == C / T, R and K the raw sums of C's rows and columns."""
         if not self.is_exact:
-            return self.probs, 1, _over_one
-        if self.counts is not None:
-            return self.counts, sum(map(sum, self.counts)), Fraction
-        ratios = [[p.as_integer_ratio() for p in row] for row in self.probs]
-        total = math.lcm(*(den for row in ratios for _, den in row))  # == T: they sum to 1
-        cells = tuple(tuple(num * (total // den) for num, den in row) for row in ratios)
-        return cells, total, Fraction
+            cells, total, div = self.probs, 1, _over_one
+        elif self.counts is not None:
+            cells, total, div = self.counts, sum(map(sum, self.counts)), Fraction
+        else:
+            ratios = [[p.as_integer_ratio() for p in row] for row in self.probs]
+            total = math.lcm(*(den for row in ratios for _, den in row))  # == T: they sum to 1
+            cells = tuple(tuple(num * (total // den) for num, den in row) for row in ratios)
+            div = Fraction
+        return cells, total, div, tuple(map(sum, cells)), tuple(map(sum, zip(*cells)))
 
     def as_floats(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(float(p) for p in row) for row in self.probs)
@@ -259,7 +264,7 @@ class JointComplexVector(AmplitudeVector):
 
 def tensor_product_real(v1: RealContextVector, v2: RealContextVector) -> JointTable:
     """Outer product of two simplex points; exactness of the inputs is preserved."""
-    probs = tuple(tuple(a * b for b in v2.values) for a in v1.values)
+    probs = tuple(tuple(a * b for b in v2.probs) for a in v1.probs)
     return JointTable(v1.outcomes, v2.outcomes, probs)
 
 
@@ -304,10 +309,10 @@ def build_joint_vectors(
 
 def marginals(t: JointTable) -> Marginals:
     """Row and column sums; the only candidate factor pair for the product test."""
-    cells, total, div = t._form
+    _, total, div, row_sums, col_sums = t._form
     return Marginals(
-        ProbabilityVector(t.row_outcomes, tuple(div(sum(r), total) for r in cells)),
-        ProbabilityVector(t.col_outcomes, tuple(div(sum(c), total) for c in zip(*cells))),
+        ProbabilityVector(t.row_outcomes, tuple(div(s, total) for s in row_sums)),
+        ProbabilityVector(t.col_outcomes, tuple(div(s, total) for s in col_sums)),
     )
 
 
@@ -318,7 +323,7 @@ def _max_minor(t: JointTable) -> Optional[MinorWitness]:
     one array over the column pairs k < k', so memory is O(n * m^2), never a
     whole n^2 x m^2 array.
     """
-    cells, total, div = t._form
+    cells, total, div, _, _ = t._form
     dtype = np.float64
     if t.is_exact:
         big = max(map(max, cells))
@@ -358,11 +363,10 @@ def _max_minor(t: JointTable) -> Optional[MinorWitness]:
 
 def _residual(t: JointTable) -> Value:
     """max |probs[j][k] - row[j] * col[k]|, the distance from the marginal outer product."""
-    cells, total, div = t._form
-    col_sums = [sum(c) for c in zip(*cells)]
+    cells, total, div, row_sums, col_sums = t._form
     return div(
-        max(abs(total * c - row_sum * s)
-            for r, row_sum in zip(cells, map(sum, cells)) for c, s in zip(r, col_sums)),
+        max(abs(total * c - r * k)
+            for row, r in zip(cells, row_sums) for c, k in zip(row, col_sums)),
         total * total,
     )
 

@@ -31,13 +31,6 @@ Monte Carlo draws come from one generator stream in batch order: batch i is
 always stream segment i, whichever thread takes it.  Batches are classified
 on up to 4 CPUs and their counts summed, so the counts for a seed do not
 depend on the CPU count.
-
-Region measure
---------------
-Replacing vertex h_j by v scales the simplex volume by the j-th barycentric
-coordinate of v, hence m(A_j) / m(simplex) = v_j exactly.  Uniform sampling
-of lambda therefore reproduces the outcome probabilities, which is what
-`monte_carlo_measurement` verifies empirically.
 """
 
 from __future__ import annotations
@@ -53,11 +46,9 @@ import numpy as np
 from .errors import InvalidHiddenVariable
 from .probability import (
     ContextId,
-    OutcomeSet,
     ProbabilityVector,
     Value,
     check_simplex,
-    is_exact_value,
 )
 
 #: Default width for declaring two region ratios tied (a boundary hit).
@@ -69,32 +60,18 @@ _MC_BATCH = 1 << 13
 
 
 @dataclass(frozen=True)
-class RealContextVector:
+class RealContextVector(ProbabilityVector):
     """Simplex point representing one (measurement, state) pair.
 
     Coordinates are the outcome probabilities themselves; exact entries are
     preserved so joint constructions downstream can stay rational.
     """
 
-    outcomes: OutcomeSet
-    values: tuple[Value, ...]
     context: ContextId
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        # Reuse the simplex validation: same invariants as a probability vector.
-        ProbabilityVector(self.outcomes, self.values)
 
     @property
     def n(self) -> int:
         return self.outcomes.n
-
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact_value(x) for x in self.values)
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(x) for x in self.values)
 
 
 @dataclass(frozen=True)
@@ -153,7 +130,7 @@ def classify_hidden_variable(
     the tie (their degenerate region contains the point); with lambda_k > 0
     they are excluded.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     if not isinstance(lam, HiddenVariable):
         lam = HiddenVariable(tuple(lam))
@@ -175,7 +152,7 @@ def region_measure_ratio(v: RealContextVector, j: int) -> Value:
     """
     if not 0 <= j < v.n:
         raise IndexError(f"outcome index {j} out of range for {v.n} outcomes")
-    return v.values[j]
+    return v.probs[j]
 
 
 def sample_hidden_variables(n: int, count: int, seed: int) -> np.ndarray:
@@ -192,7 +169,7 @@ def sample_hidden_variables(n: int, count: int, seed: int) -> np.ndarray:
     return g / g.sum(axis=1, keepdims=True)
 
 
-def trial_chunks(trials: int, chunk: int = 1 << 18) -> Iterator[int]:
+def trial_chunks(trials: int, chunk: int) -> Iterator[int]:
     """Batch sizes summing to `trials`, `chunk` at most: every simulation draws in these."""
     for start in range(0, trials, chunk):
         yield min(chunk, trials - start)

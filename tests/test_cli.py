@@ -345,6 +345,53 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("kind", ["counts", "joint", "phases"])
+    def test_non_utf8_file_is_2_and_named(self, tmp_path, capsys, kind):
+        """Bytes that are not UTF-8 are unreadable input, not a semantic error."""
+        bad = tmp_path / f"{kind}.json"
+        bad.write_bytes(b'{"a": 1, "\xff": 2}')
+        counts = tmp_path / "animal.csv"
+        counts.write_text(ANIMAL_CSV)
+        argv = {
+            "counts": ["represent", str(bad)],
+            "joint": ["entanglement", str(bad)],
+            "phases": ["represent", str(counts), "--phases", str(bad)],
+        }[kind]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad} is not UTF-8 text")
+
+
+class TestReportKeys:
+    @pytest.mark.parametrize(
+        "argv, command, sections",
+        [
+            (["represent", "counts.csv"], "represent",
+             ["context", "counts", "total", "real_vector", "complex_vector", "moduli",
+              "born_probabilities"]),
+            (["simulate", "counts.csv", "--trials", "50"], "simulate",
+             ["context", "trials", "seed", "frequencies", "boundary_hits", "target",
+              "max_abs_deviation", "three_sigma_bounds", "pass"]),
+            (["entanglement", "joint.csv"], "entanglement",
+             ["table", "report", "joint_real_vector", "joint_complex_vector"]),
+            (["scenario", "animal-acts"], "scenario animal-acts",
+             ["animal", "act", "joint", "report", "joint_real_vector", "joint_complex_vector"]),
+            (["scenario", "vessels", "--mode", "connected", "--trials", "50"], "scenario vessels",
+             ["vessels", "outcome_counts", "joint", "report", "joint_real_vector",
+              "joint_complex_vector"]),
+        ],
+    )
+    def test_command_then_config_then_sections(
+        self, tmp_path, monkeypatch, capsys, argv, command, sections
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "counts.csv").write_text(ANIMAL_CSV)
+        (tmp_path / "joint.csv").write_text(JOINT_CSV)
+        report = run_json(capsys, *argv)
+        assert list(report) == ["command", "config", *sections]
+        assert report["command"] == command
+
+
 class TestConfigBlock:
     @pytest.mark.parametrize(
         "argv, expected",

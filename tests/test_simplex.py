@@ -113,6 +113,12 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_hidden_variable(v, (0.9, 0.1), tol=-1.0)
 
+    def test_nan_tolerance(self):
+        """A NaN tol is refused like a negative one, not misread as an empty tie."""
+        v = make_context((0.5, 0.5))
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            classify_hidden_variable(v, (0.9, 0.1), tol=float("nan"))
+
     @settings(max_examples=150)
     @given(
         st.integers(2, 5).flatmap(
