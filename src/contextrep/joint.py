@@ -24,11 +24,15 @@ row and column sums of C; the marginals are div(R_j, T) and div(K_k, T), the
 residual is div(max |T*C_jk - R_j*K_k|, T^2), and each 2x2 minor of probs is
 div of the same minor of C by T^2.  So exact tables are decided in integers,
 fraction-free (Bareiss 1968), with `Fraction` built only for these reported
-values.  The witness kernel takes one row's minors against all later rows at
-once, and alone picks a dtype: float64 for a float table (the products and
-differences of a scalar loop, so bit-identical witnesses), int64 when
-2*max(C)^2 < 2^63 (no product or difference can overflow), and object-dtype
-Python ints otherwise.
+values, each computed once per table: the table caches its marginals and
+residual for `is_product` and `factorization_certificate` alike.  An exact
+table's marginals are integer sums over their positive total, so they lie in
+[0, 1] and sum to exactly 1, and their vectors skip the simplex check that a
+float table's marginals still pass.  The witness kernel takes one row's
+minors against all later rows at once, and alone picks a dtype: float64 for a
+float table (the products and differences of a scalar loop, so bit-identical
+witnesses), int64 when 2*max(C)^2 < 2^63 (no product or difference can
+overflow), and object-dtype Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .probability import (
     OutcomeSet,
     ProbabilityVector,
     Value,
+    _count_vector,
     _reject_duplicate_keys,
     check_simplex,
     count_matrix,
@@ -142,19 +147,30 @@ class JointTable:
             div = Fraction
         return cells, total, div, tuple(map(sum, cells)), tuple(map(sum, zip(*cells)))
 
+    @functools.cached_property
+    def _marginals(self) -> "Marginals":
+        """Row and column sums over T; an exact table's are integer sums over their total."""
+        _, total, div, *sums = self._form
+        return Marginals(*(
+            _count_vector(outcomes, s, total) if self.is_exact
+            else ProbabilityVector(outcomes, tuple(div(x, total) for x in s))
+            for outcomes, s in zip((self.row_outcomes, self.col_outcomes), sums)))
+
+    @functools.cached_property
+    def _residual(self) -> Value:
+        """max |probs[j][k] - row[j] * col[k]|, the distance from the marginal outer product."""
+        cells, total, div, row_sums, col_sums = self._form
+        return div(max(abs(total * c - r * k) for row, r in zip(cells, row_sums)
+                       for c, k in zip(row, col_sums)), total * total)
+
     def as_floats(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(float(p) for p in row) for row in self.probs)
 
     def combined_labels(self) -> tuple[str, ...]:
         """Row-major labels of the tensor basis, concatenated when unambiguous."""
-        joined = tuple(
-            r + c for r in self.row_outcomes.labels for c in self.col_outcomes.labels
-        )
-        if len(set(joined)) == len(joined):
-            return joined
-        return tuple(
-            f"{r}|{c}" for r in self.row_outcomes.labels for c in self.col_outcomes.labels
-        )
+        pairs = [(r, c) for r in self.row_outcomes.labels for c in self.col_outcomes.labels]
+        joined = tuple(r + c for r, c in pairs)
+        return joined if len(set(joined)) == len(pairs) else tuple(f"{r}|{c}" for r, c in pairs)
 
     @classmethod
     def from_counts(
@@ -274,14 +290,9 @@ def tensor_product_complex(
     """Tensor product of two rank-1 context vectors; phases add per basis pair."""
     if not (w1.family.is_rank_one and w2.family.is_rank_one):
         raise UnsupportedFamily("tensor products require rank-1 projector blocks")
-    amplitudes = []
-    phases = []
-    for a in w1.amplitudes:
-        for b in w2.amplitudes:
-            prod = a * b
-            amplitudes.append(prod)
-            phases.append(cmath.phase(prod) if prod != 0 else 0.0)
-    return JointComplexVector(w1.outcomes, w2.outcomes, tuple(amplitudes), tuple(phases))
+    amplitudes = tuple(a * b for a in w1.amplitudes for b in w2.amplitudes)
+    phases = tuple(cmath.phase(z) if z != 0 else 0.0 for z in amplitudes)
+    return JointComplexVector(w1.outcomes, w2.outcomes, amplitudes, phases)
 
 
 def build_joint_vectors(
@@ -300,20 +311,17 @@ def build_joint_vectors(
             f"phase assignment covers {len(phases)} indices, tensor basis has {size}"
         )
     real = tuple(p for row in t.probs for p in row)
+    cells, total, *_ = t._form  # p == c / T exactly, and c / T rounds as float(p) does
     amplitudes = tuple(
-        math.sqrt(float(p)) * cmath.exp(1j * angle)
-        for p, angle in zip(real, phases.angles)
+        math.sqrt(c / total) * cmath.exp(1j * angle)
+        for c, angle in zip(itertools.chain.from_iterable(cells), phases.angles)
     )
     return real, JointComplexVector(t.row_outcomes, t.col_outcomes, amplitudes, phases.angles)
 
 
 def marginals(t: JointTable) -> Marginals:
     """Row and column sums; the only candidate factor pair for the product test."""
-    _, total, div, row_sums, col_sums = t._form
-    return Marginals(
-        ProbabilityVector(t.row_outcomes, tuple(div(s, total) for s in row_sums)),
-        ProbabilityVector(t.col_outcomes, tuple(div(s, total) for s in col_sums)),
-    )
+    return t._marginals
 
 
 def _max_minor(t: JointTable) -> Optional[MinorWitness]:
@@ -361,16 +369,6 @@ def _max_minor(t: JointTable) -> Optional[MinorWitness]:
     )
 
 
-def _residual(t: JointTable) -> Value:
-    """max |probs[j][k] - row[j] * col[k]|, the distance from the marginal outer product."""
-    cells, total, div, row_sums, col_sums = t._form
-    return div(
-        max(abs(total * c - r * k)
-            for row, r in zip(cells, row_sums) for c, k in zip(row, col_sums)),
-        total * total,
-    )
-
-
 def default_tolerance(t: JointTable) -> Value:
     """Zero for exact rational tables, FLOAT_TOLERANCE otherwise."""
     return Fraction(0) if t.is_exact else FLOAT_TOLERANCE
@@ -392,7 +390,7 @@ def is_product(t: JointTable, tol: Value | None = None) -> EntanglementReport:
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     marg = marginals(t)
-    residual = _residual(t)
+    residual = t._residual
     arithmetic: Literal["exact", "float"] = "exact" if t.is_exact else "float"
     witness = None if residual <= tol else _max_minor(t)
     verdict: Literal["product", "entangled"] = "product" if witness is None else "entangled"
@@ -412,7 +410,7 @@ def factorization_certificate(
     marginal entry is simply zero.
     """
     marg = marginals(t)
-    if _residual(t) <= default_tolerance(t):
+    if t._residual <= default_tolerance(t):
         return marg.row, marg.col
     return None
 

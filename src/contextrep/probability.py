@@ -189,12 +189,18 @@ class ContextId:
         return {"entity": self.entity, "state": self.state, "measurement": self.measurement}
 
 
+def _count_vector(outcomes: OutcomeSet, counts: Sequence[int], total: int) -> ProbabilityVector:
+    """The counts over their total, one per outcome, built without `check_simplex`."""
+    # Nonnegative integers over their positive sum lie in [0, 1] and sum to exactly 1.
+    vector = object.__new__(ProbabilityVector)
+    object.__setattr__(vector, "outcomes", outcomes)
+    object.__setattr__(vector, "probs", tuple(Fraction(c, total) for c in counts))
+    return vector
+
+
 def probabilities_from_counts(counts: CountTable) -> ProbabilityVector:
     """Relative frequencies as exact rationals; scale-invariant in the counts."""
-    total = counts.total
-    return ProbabilityVector(
-        counts.outcomes, tuple(Fraction(c, total) for c in counts.counts)
-    )
+    return _count_vector(counts.outcomes, counts.counts, counts.total)
 
 
 # ---------------------------------------------------------------------------

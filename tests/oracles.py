@@ -7,12 +7,15 @@ factorization by exhaustive rational search instead of minors, the strongest
 2x2 minor, the marginals and the residual by scalar formulas over the
 table's own entries instead of its (C, T, div) form and vectorized kernel,
 the ratio rule by an n-wide tie matrix instead of the scale-free kernel with
-its rare-row path.  Expected values asserted in the tests were computed from
-these oracles once and frozen.
+its rare-row path, the joint amplitudes from each entry's own float instead
+of the table's (C, T) form.  Expected values asserted in the tests were
+computed from these oracles once and frozen.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -164,6 +167,13 @@ def residual_oracle(probs: Sequence[Sequence]) -> object:
         for j in range(len(probs))
         for k in range(len(probs[0]))
     )
+
+
+def joint_vectors_oracle(probs: Sequence[Sequence], angles: Sequence[float]) -> list[complex]:
+    """Row-major amplitudes sqrt(float(p)) * exp(i * angle), one per cell of the table."""
+    entries = [p for row in probs for p in row]
+    return [math.sqrt(float(p)) * cmath.exp(1j * angle)
+            for p, angle in zip(entries, angles, strict=True)]
 
 
 def binomial_three_sigma(p: float, trials: int) -> float:

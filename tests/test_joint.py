@@ -1,5 +1,6 @@
 """Joint tables, tensor products, marginals, and the product/entangled decision."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import contextrep.probability
 from contextrep import (
     BlockSpectralFamily,
     ContextId,
+    CountTable,
     InvalidCounts,
     InvalidJointTable,
     JointTable,
@@ -28,6 +31,7 @@ from contextrep import (
     marginals,
     parse_joint_csv,
     parse_joint_json,
+    probabilities_from_counts,
     tensor_product_complex,
     tensor_product_real,
 )
@@ -35,6 +39,7 @@ from contextrep.cli import _joint_sections
 from contextrep.joint import _max_minor
 from oracles import (
     exact_factorization_search,
+    joint_vectors_oracle,
     marginals_oracle,
     max_minor_oracle,
     residual_oracle,
@@ -477,6 +482,153 @@ class TestOneForm:
         assert sum(floats.probs[0]) == 1 + 2**-52
         assert marginals(floats).row.probs == (1.0,)
         assert float_report(t)["verdict"] == "product"
+
+
+def rational_product(a, b):
+    """The lcm-form rational table of two exact distributions: Fractions, no counts."""
+    return tensor_product_real(
+        build_real_context(ProbabilityVector(labelled([a])[1], a), CTX),
+        build_real_context(ProbabilityVector(labelled([b])[1], b), CTX),
+    )
+
+
+#: One product table in each form: counts, lcm-form rationals, floats.
+PRODUCT_TABLES = {
+    "counts": lambda: JointTable.from_counts(ROWS, COLS, ((2, 4), (3, 6))),
+    "rational": lambda: rational_product((Fraction(2, 5), Fraction(3, 5)),
+                                         (Fraction(1, 3), Fraction(2, 3))),
+    "floats": lambda: JointTable(ROWS, COLS, ((0.18, 0.42), (0.12, 0.28))),
+}
+
+
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """The tables whose residual is computed while the test runs, one entry per computation."""
+    calls = []
+    compute = JointTable._residual.func
+
+    def counted(t):
+        calls.append(t)
+        return compute(t)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(JointTable, "_residual")
+    monkeypatch.setattr(JointTable, "_residual", prop)
+    return calls
+
+
+class TestComputedOncePerTable:
+    """is_product and factorization_certificate share one table's marginals and residual."""
+
+    @pytest.mark.parametrize("kind", sorted(PRODUCT_TABLES))
+    def test_decisions_share_marginals_and_residual(self, kind, residual_calls):
+        t = PRODUCT_TABLES[kind]()
+        report = is_product(t)
+        assert report.verdict == "product"
+        assert report.marginals is marginals(t)
+        row, col = factorization_certificate(t)
+        assert row is report.marginals.row and col is report.marginals.col
+        assert report.residual is t._residual
+        assert len(residual_calls) == 1 and residual_calls[0] is t
+
+    def test_each_table_has_its_own(self, residual_calls):
+        first, second = PRODUCT_TABLES["counts"](), PRODUCT_TABLES["counts"]()
+        assert marginals(first) is not marginals(second)
+        is_product(first)
+        is_product(second)
+        assert [id(t) for t in residual_calls] == [id(first), id(second)]
+
+
+def count_simplex_checks(monkeypatch):
+    """Wrap `check_simplex` where ProbabilityVector calls it; the values of each call."""
+    calls = []
+    check = contextrep.probability.check_simplex
+
+    def counted(values, *args):
+        calls.append(tuple(values))
+        return check(values, *args)
+
+    monkeypatch.setattr(contextrep.probability, "check_simplex", counted)
+    return calls
+
+
+def assert_same_checked_vector(vector, expected):
+    """`vector` equals the checked ProbabilityVector of `expected`, entry types included."""
+    checked = ProbabilityVector(vector.outcomes, tuple(expected))
+    assert vector == checked
+    assert [type(p) for p in vector.probs] == [type(p) for p in checked.probs]
+    assert all(type(p) is Fraction for p in vector.probs)
+
+
+class TestCountsImplySimplex:
+    """Integer counts over their total skip the simplex check; float vectors keep it."""
+
+    @pytest.mark.parametrize(
+        "make", [PRODUCT_TABLES["counts"], PRODUCT_TABLES["rational"], animal_acts_joint],
+        ids=["counts", "rational", "entangled-counts"])
+    def test_exact_marginals_skip_the_check(self, make, monkeypatch):
+        t = make()
+        calls = count_simplex_checks(monkeypatch)
+        m = marginals(t)
+        assert calls == []
+        rows, cols = marginals_oracle(t.probs)
+        assert_same_checked_vector(m.row, rows)
+        assert_same_checked_vector(m.col, cols)
+        assert len(calls) == 2  # the checked vectors above did call it
+
+    def test_probabilities_from_counts_skip_the_check(self, monkeypatch):
+        counts = CountTable(OutcomeSet(("a", "b", "c")), (0, 3, 9))
+        calls = count_simplex_checks(monkeypatch)
+        p = probabilities_from_counts(counts)
+        assert calls == []
+        assert_same_checked_vector(p, (Fraction(0), Fraction(1, 4), Fraction(3, 4)))
+
+    def test_float_marginals_are_checked(self, monkeypatch):
+        t = PRODUCT_TABLES["floats"]()
+        calls = count_simplex_checks(monkeypatch)
+        m = marginals(t)
+        assert calls == [m.row.probs, m.col.probs]
+
+
+@st.composite
+def tables_with_phases(draw):
+    """A count table or an lcm-form rational table, exact or in --float form, with phases.
+
+    Phases are None (the default zeros) or one finite angle per cell, any sign.
+    """
+    if draw(st.booleans()):
+        sizes = st.integers(1, 5)
+        t = rational_product(draw(sizes.flatmap(distributions)),
+                             draw(sizes.flatmap(distributions)))
+    else:
+        counts = draw(minor_counts())
+        t = JointTable.from_counts(*labelled(counts), counts)
+    if draw(st.booleans()):
+        t = JointTable(t.row_outcomes, t.col_outcomes, t.as_floats())
+    angle = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+    size = t.n_rows * t.n_cols
+    angles = draw(st.none() | st.lists(angle, min_size=size, max_size=size))
+    return t, None if angles is None else PhaseAssignment(angles)
+
+
+def float_bits(values):
+    """The exact bits of each value's real and imaginary parts, in hex."""
+    return [(v.real.hex(), v.imag.hex()) for v in map(complex, values)]
+
+
+class TestJointVectorsOracle:
+    """build_joint_vectors against sqrt(float(p)) * exp(i * angle), cell by cell."""
+
+    @settings(max_examples=300)
+    @given(tables_with_phases())
+    def test_amplitudes_bit_for_bit(self, case):
+        t, phases = case
+        real, w = build_joint_vectors(t, phases)
+        entries = tuple(p for row in t.probs for p in row)
+        assert real == entries and list(map(type, real)) == list(map(type, entries))
+        angles = phases.angles if phases is not None else (0.0,) * len(entries)
+        assert float_bits(w.phases) == float_bits(angles)
+        assert float_bits(w.amplitudes) == float_bits(joint_vectors_oracle(t.probs, angles))
 
 
 class TestFactorizationCertificate:
