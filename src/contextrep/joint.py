@@ -103,6 +103,7 @@ class JointTable:
             object.__setattr__(self, "counts", counts)
             object.__setattr__(self, "probs",
                                tuple(tuple(Fraction(c, total) for c in row) for row in counts))
+            object.__setattr__(self, "is_exact", True)  # every entry a Fraction, built above
             return
         object.__setattr__(self, "probs", tuple(tuple(row) for row in self.probs))
         if len(self.probs) != self.row_outcomes.n:

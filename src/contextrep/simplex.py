@@ -26,11 +26,16 @@ with the tie tolerance scaled by S.  One kernel, `_classify_batch`, applies
 the rule to one point (`classify_hidden_variable`) or a batch of draws
 (`monte_carlo_measurement`).  Its one tie mask settles each row it gives a
 single index; only the rare rest take the exact path, which builds the 0/0 mask.
+Rows of up to 16 outcomes are laid out outcome-major, so the row minimum, the
+tie mask and the tally per outcome are each a contiguous pass over the batch,
+not a short reduction per row; wider rows stay row-major and take an argmin,
+since there the transposed copy costs more than it saves.  The minimum is
+exact in both, so each row gets the same tie bound and the counts agree.
 
 Monte Carlo draws come from one generator stream in batch order: batch i is
 always stream segment i, whichever thread takes it.  Batches are classified
 on up to 4 CPUs and their counts summed, so the counts for a seed do not
-depend on the CPU count.
+depend on the CPU count.  A job of one batch runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -54,9 +59,14 @@ from .probability import (
 #: Default width for declaring two region ratios tied (a boundary hit).
 BOUNDARY_TOLERANCE = 1e-12
 
-#: Rows per Monte Carlo batch, so a batch stays in a core's cache through the
-#: kernel's passes.  Rows are drawn in stream order, one batch at a time.
+#: Rows per Monte Carlo batch: 64 KB per outcome, so 128 KB at n = 2 and 2 MB
+#: at n = 32.  Rows are drawn in stream order, one batch at a time.
 _MC_BATCH = 1 << 13
+
+#: Widest rows the kernel classifies outcome-major.  Below it numpy's per-row
+#: reductions cost more than a transposed copy of the batch; above it the copy
+#: costs more (at n = 32 it made the kernel 1.2-1.6x slower).
+_OUTCOME_MAJOR_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -181,8 +191,10 @@ def _mc_workers() -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    # One generator stream feeds every classifier, and at n = 2 the draw alone
-    # is 9.1 of 39.7 ns per trial, so it cannot keep more than about 4 busy.
+    # One generator stream feeds every classifier.  The draw alone is about
+    # half of each trial (17 of 33 ns at n = 2, 82 of 134 ns at n = 16, on 2
+    # vCPUs), so the stream keeps about two busy and the cap of 4 bounds the
+    # threads that would only wait for it.
     return min(cpus, 4)
 
 
@@ -194,10 +206,13 @@ def _exponential_batches(
     Batch i is always segment i of the stream, of size i of `trial_chunks`:
     one lock covers taking a size and filling it, so draws keep stream order,
     and `work` runs outside it, on up to `_mc_workers()` threads (numpy
-    releases the GIL in both).  One batch runs on the calling thread and
-    starts none.  `work` may overwrite its batch.  The first exception any
-    batch raises stops the rest and is raised here, after every thread ended.
+    releases the GIL in both).  A job of one batch is drawn and classified on
+    the calling thread, with no lock or thread.  `work` may overwrite its
+    batch.  The first exception any batch raises stops the rest and is raised
+    here, after every thread ended.
     """
+    if trials <= _MC_BATCH:
+        return [work(rng.standard_exponential((trials, n)))]
     sizes = trial_chunks(trials, _MC_BATCH)
     workers = min(_mc_workers(), math.ceil(trials / _MC_BATCH))
     lock = threading.Lock()
@@ -205,7 +220,7 @@ def _exponential_batches(
     errors: list[BaseException] = []
 
     def worker() -> None:
-        g = np.empty((min(trials, _MC_BATCH), n))
+        g = np.empty((_MC_BATCH, n))
         try:
             while True:
                 with lock:
@@ -243,7 +258,7 @@ def _classify_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ratio rule per row of `g`: (winner count per outcome, boundary tie masks).
 
-    Rows need not be normalized, and `g` is overwritten with the ratios
+    Rows need not be normalized, and `g` may be overwritten with the ratios
     g_k * inv_v_k (`inv_v` is `_reciprocals` of the context).  An index ties
     the row minimum when its ratio is within `tol` times the row sum.  A row
     whose tie mask holds one index counts for it.  Every other row, and each
@@ -251,22 +266,36 @@ def _classify_batch(
     outcome, which only ever ties), is a boundary: the exact path gives its
     tie mask, in row order.
     """
-    n = g.shape[1]
+    rows, n = g.shape
     scaled_tol = tol * np.einsum("ij->i", g)  # a row sums alike alone and in any batch
+    winners = None
     with np.errstate(invalid="ignore"):
-        r = np.multiply(g, inv_v, out=g)
-    winners = r.argmin(axis=1)  # a row's first NaN, if it has one
-    bound = r.ravel().take(np.arange(0, r.size, n) + winners) + scaled_tol
+        if n <= _OUTCOME_MAJOR_MAX:
+            # r is a (rows, n) view of outcome-major ratios, so the row minimum,
+            # the mask and the tally below are contiguous passes over the batch.
+            r = np.multiply(g.T, inv_v[:, None], out=np.empty((n, rows))).T
+            bound = np.minimum.reduce(r, axis=1) + scaled_tol  # NaN in a row with a NaN
+        else:
+            r = np.multiply(g, inv_v, out=g)
+            winners = r.argmin(axis=1)  # a row's first NaN, if it has one
+            bound = r.ravel().take(np.arange(0, r.size, n) + winners) + scaled_tol
     mask = r <= bound[:, None]
     nan_rows = np.isnan(bound)
-    if np.count_nonzero(mask) == len(g) and not nan_rows.any():
-        return np.bincount(winners, minlength=n), np.empty((0, n), dtype=bool)
-    rare = np.flatnonzero((np.count_nonzero(mask, axis=1) != 1) | nan_rows)
+    if np.count_nonzero(mask) == rows and not nan_rows.any():
+        rare, settled = None, slice(None)
+    else:
+        rare = np.flatnonzero((np.count_nonzero(mask, axis=1) != 1) | nan_rows)
+        settled = np.delete(np.arange(rows), rare)
+    # A settled row's mask holds one index, its minimizer: its winner.
+    counts = (np.count_nonzero(mask[settled], axis=0) if winners is None
+              else np.bincount(winners[settled], minlength=n))
+    if rare is None:
+        return counts, np.empty((0, n), dtype=bool)
     ratios = r[rare]
     zero_zero = np.isnan(ratios)
     ratios[zero_zero] = np.inf
     ties = (ratios <= ratios.min(axis=1, keepdims=True) + scaled_tol[rare, None]) | zero_zero
-    return np.bincount(np.delete(winners, rare), minlength=n), ties
+    return counts, ties
 
 
 @dataclass(frozen=True)

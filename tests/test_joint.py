@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import contextrep.joint
 import contextrep.probability
 from contextrep import (
     BlockSpectralFamily,
@@ -37,6 +38,7 @@ from contextrep import (
 )
 from contextrep.cli import _joint_sections
 from contextrep.joint import _max_minor
+from contextrep.probability import is_exact_value
 from oracles import (
     exact_factorization_search,
     joint_vectors_oracle,
@@ -95,6 +97,21 @@ class TestJointTable:
         assert t.probs[0] == (Fraction(4, 81), Fraction(51, 81))
         assert t.is_exact
         assert t.counts == ((4, 51), (21, 5))
+
+    def test_count_table_is_exact_without_a_scan(self, monkeypatch):
+        """A table built from counts alone knows it is exact; counts with floats are scanned."""
+        scanned = []
+        monkeypatch.setattr(contextrep.joint, "is_exact_value",
+                            lambda p: scanned.append(p) or is_exact_value(p))
+        assert animal_acts_joint().is_exact
+        assert scanned == []
+        quarters = ((0.25, 0.25), (0.25, 0.25))
+        t = JointTable(ROWS, COLS, quarters, counts=((1, 1), (1, 1)))
+        assert not t.is_exact
+        assert scanned[0] == 0.25
+        report = is_product(t)
+        assert (report.arithmetic, report.tolerance, report.residual) == ("float", 1e-9, 0.0)
+        assert [type(p) for p in report.marginals.row.probs] == [float, float]
 
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidJointTable):

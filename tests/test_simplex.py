@@ -28,7 +28,13 @@ from contextrep import (
     sample_hidden_variables,
 )
 import contextrep.simplex as simplex
-from contextrep.simplex import _MC_BATCH, _classify_batch, _mc_workers, _reciprocals
+from contextrep.simplex import (
+    _MC_BATCH,
+    _OUTCOME_MAJOR_MAX,
+    _classify_batch,
+    _mc_workers,
+    _reciprocals,
+)
 from oracles import (
     BETA_CDF_N4_AT_QUARTER,
     binomial_three_sigma,
@@ -283,14 +289,22 @@ PINNED_MONTE_CARLO = {
                           17709, 18443), 0),
     ("n3", 300000, 0): ((191016, 0, 108984), 0),
     ("n3", 300000, 7): ((190573, 0, 109427), 0),
+    # Recorded before the kernel took rows of up to 16 outcomes outcome-major:
+    # n16 is the widest such row, n17 the narrowest row-major one.
+    ("n16", 30000, 0): ((1168, 392, 1611, 374, 2032, 3494, 717, 2356, 1909, 1137, 1986, 3057,
+                         3498, 2763, 3506, 0), 0),
+    ("n17", 30000, 0): ((789, 2838, 394, 3163, 808, 3142, 391, 3149, 763, 3125, 1620, 1876,
+                         3555, 0, 1575, 2007, 805), 0),
 }
 
-#: Integer weights of each pinned context; n3 has one zero-probability outcome
-#: and n8 two.
+#: Integer weights of each pinned context; n3, n16 and n17 have one
+#: zero-probability outcome and n8 two.
 PINNED_WEIGHTS = {
     "n2": (43, 38),
     "n3": (7, 0, 4),
     "n8": (1, 0, 2, 1, 0, 1, 2, 1),
+    "n16": (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 0),
+    "n17": (2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5, 9, 0, 4, 5, 2),
     "n32": tuple(range(1, 33)),
 }
 
@@ -394,10 +408,13 @@ def dyadic_distributions(draw):
     """Probabilities that are powers of two or zero, so 1 / v_k and g_k / v_k are exact.
 
     Halving parts of 1 gives n >= 1 positive outcomes; zero outcomes go
-    anywhere, so a single positive outcome among zeros is reachable.
+    anywhere, so a single positive outcome among zeros is reachable.  Some
+    contexts are wider than `_OUTCOME_MAJOR_MAX`, so the kernel's row-major
+    layout is drawn as well as its outcome-major one.
     """
     parts = [1.0]
-    for _ in range(draw(st.integers(0, 4))):
+    splits = st.integers(0, 4) | st.integers(_OUTCOME_MAJOR_MAX, _OUTCOME_MAJOR_MAX + 8)
+    for _ in range(draw(splits)):
         i = draw(st.integers(0, len(parts) - 1))
         half = parts.pop(i) / 2
         parts[i:i] = [half, half]
@@ -415,13 +432,17 @@ def row_sums(lam):
 def crafted_rows(draw, values):
     """A point of the simplex, often with an exact tie or a gap of tol * S +- 1 ulp.
 
-    A third of the coordinates are exactly 0.0.  A gap row puts the ratio of
+    In some rows a third of the coordinates are exactly 0.0, and the others
+    have none: two zeros at positive outcomes tie, so without such rows a wide
+    context would hardly ever have a settled row.  A gap row puts the ratio of
     outcome b at the tie bound of the row minimum a, or one ulp to either side
     of it; renormalizing moves the bound, so b is set again until it holds.
     The row is kept as a batch of one, so its sum is the classifier's.
     """
     n = len(values)
-    coords = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(0.25, 1.0))
+    coords = st.one_of(st.floats(1e-3, 1.0), st.floats(0.25, 1.0))
+    if draw(st.booleans()):
+        coords = st.just(0.0) | coords
     lam = np.array([draw(st.lists(coords, min_size=n, max_size=n))])
     assume(lam.sum() > 0)
     lam /= row_sums(lam)
