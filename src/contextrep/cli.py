@@ -4,7 +4,11 @@ Counts files are CSV (`label,count`) or JSON (`{"label": count}`); joint
 counts are CSV (`row_label,col_label,count`) or JSON
 (`{rows, cols, counts}`).  Format is picked by extension, falling back to
 content sniffing.  All reports are JSON, embed the configuration that
-produced them, and are byte-identical across runs with equal inputs.
+produced them, and are byte-identical across runs with equal inputs.  A
+report's bytes are exactly what `json.dumps(report, indent=2)` writes
+(non-ASCII characters escaped, keys in the order the report builds them)
+plus a trailing newline; `_dumps` writes them in one pass, and the stdlib
+encoder stays the specification it is tested against.
 
 Exit codes: 0 success, 2 unreadable or unparseable input, 3 semantic error
 (invalid counts, mismatched labels, bad configuration).
@@ -17,6 +21,7 @@ import dataclasses
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -270,8 +275,82 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: json's spelling of the floats whose repr is not a JSON number.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _NotPlainJSON(Exception):
+    """A dict key or value that `_dumps` leaves to `json.dumps`."""
+
+
+def _write(o: object, newline: str, append: Callable[[str], None]) -> None:
+    """Append o's JSON text; `newline` is "\\n" plus the indent of o's own line.
+
+    The type tests run in `json.encoder`'s order, so int and float
+    subclasses (bool, IntEnum, numpy.float64) print as json prints them.
+    """
+    if isinstance(o, str):
+        append(encode_basestring_ascii(o))
+    elif o is None:
+        append("null")
+    elif o is True:
+        append("true")
+    elif o is False:
+        append("false")
+    elif isinstance(o, int):
+        append(int.__repr__(o))
+    elif isinstance(o, float):
+        text = float.__repr__(o)
+        append(_NON_FINITE.get(text, text))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for v in o:
+            append(sep)
+            sep = comma
+            _write(v, inner, append)
+        append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for k, v in o.items():
+            if not isinstance(k, str):
+                raise _NotPlainJSON
+            append(sep)
+            sep = comma
+            append(encode_basestring_ascii(k))
+            append(": ")
+            _write(v, inner, append)
+        append(newline + "}")
+    else:
+        raise _NotPlainJSON
+
+
+def _dumps(report: object) -> str:
+    """The text of `json.dumps(report, indent=2)`, written in one pass.
+
+    Any indent turns json's C encoder off, and its pure-Python generators
+    cost more than the rest of a small report.  A non-str key, a value of no
+    JSON type, or nesting that exhausts the recursion limit (a cycle) hands
+    the whole report to `json.dumps`, which converts the key or raises its
+    own error.
+    """
+    parts: list[str] = []
+    try:
+        _write(report, "\n", parts.append)
+    except (_NotPlainJSON, RecursionError):
+        return json.dumps(report, indent=2)
+    return "".join(parts)
+
+
 def _emit(report: dict, output: Optional[str]) -> None:
-    text = json.dumps(report, indent=2) + "\n"
+    text = _dumps(report) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:

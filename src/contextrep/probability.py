@@ -80,12 +80,12 @@ def check_simplex(values: Sequence[Value], error: type[Exception], what: str) ->
 
 
 def value_entry(x: Value) -> dict:
-    """Report form of a probability: full float, two-decimal display, exact fraction."""
-    return {
-        "value": float(x),
-        "display": display_rounded(x),
-        "exact": str(Fraction(x)) if is_exact_value(x) else None,
-    }
+    """Report form of a probability: full float, two-decimal display, exact fraction.
+
+    The display is `display_rounded(x)`; an exact value's str is its fraction.
+    """
+    f = float(x)
+    return {"value": f, "display": f"{f:.2f}", "exact": str(x) if is_exact_value(x) else None}
 
 
 @dataclass(frozen=True)

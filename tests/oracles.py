@@ -8,13 +8,15 @@ factorization by exhaustive rational search instead of minors, the strongest
 table's own entries instead of its (C, T, div) form and vectorized kernel,
 the ratio rule by an n-wide tie matrix instead of the scale-free kernel with
 its rare-row path, the joint amplitudes from each entry's own float instead
-of the table's (C, T) form.  Expected values asserted in the tests were
-computed from these oracles once and frozen.
+of the table's (C, T) form, and a report's text by json's own `indent=2`
+encoder instead of the CLI's one-pass writer.  Expected values asserted in
+the tests were computed from these oracles once and frozen.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -174,6 +176,12 @@ def joint_vectors_oracle(probs: Sequence[Sequence], angles: Sequence[float]) -> 
     entries = [p for row in probs for p in row]
     return [math.sqrt(float(p)) * cmath.exp(1j * angle)
             for p, angle in zip(entries, angles, strict=True)]
+
+
+def report_text_oracle(report: object) -> str:
+    """The text a CLI report must be, without its trailing newline: json's own
+    `indent=2` encoder (ASCII escapes, keys in the report's order)."""
+    return json.dumps(report, indent=2)
 
 
 def binomial_three_sigma(p: float, trials: int) -> float:

@@ -1,12 +1,17 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import dataclasses
+import enum
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextrep import VesselsConfig
-from contextrep.cli import _build_parser, main
+from contextrep.cli import _build_parser, _dumps, main
+from oracles import report_text_oracle
 
 ANIMAL_CSV = "label,count\nHorse,43\nBear,38\n"
 ACT_JSON = '{"Growls": 39, "Whinnies": 42}'
@@ -479,3 +484,108 @@ class TestDeterminism:
         main(["entanglement", str(f), "--output", str(out)])
         capsys.readouterr()
         assert out.read_text() == stdout_text
+
+
+# Every code point, lone surrogates included, plus the characters json escapes.
+_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\ud800",
+                     "\udfff", "\U0001f600", 'a"b\\c\n\td']),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**300), max_value=2**300),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.225073858507201e-308, 0.1, 1e16,
+                     1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]),
+    _TEXT,
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+def _circular():
+    loop = [1]
+    loop.append({"back": loop})
+    return loop
+
+
+class TestReportWriter:
+    @settings(max_examples=500)
+    @given(_TREES)
+    def test_equals_the_stdlib_encoder(self, value):
+        assert _dumps(value) == report_text_oracle(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {2: "int", 2.5: [1], True: None, False: 0, None: {"k": 0.1}, "s": -0.0},
+            {"outer": [{"deep": (0, {3: 4})}], "after": "x"},
+            {float("nan"): 1, float("inf"): 2, _Level.LOW: 3},
+            {"level": _Level.LOW, "levels": [_Level.LOW, (_Level.LOW,)]},
+            {"f64": np.float64(0.1), "nan": np.float64("nan"), "inf": [np.float64("-inf")]},
+        ],
+        ids=["scalar-keys", "nested-int-key", "non-finite-and-enum-keys", "intenum", "float64"],
+    )
+    def test_keys_and_subclasses_give_the_stdlib_text(self, value):
+        assert _dumps(value) == report_text_oracle(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{"x": object()}, [1, {2, 3}], {"n": np.int64(3)}, {"b": [np.bool_(True)]},
+         {"z": 1j}, {"raw": b"x"}, {(1, 2): 3}, _circular()],
+        ids=["object", "set", "int64", "bool_", "complex", "bytes", "tuple-key", "circular"],
+    )
+    def test_unwritable_values_raise_the_stdlib_error(self, value):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            report_text_oracle(value)
+        with pytest.raises(expected.type) as got:
+            _dumps(value)
+        assert str(got.value) == str(expected.value)
+
+
+class TestReportText:
+    """Every subcommand prints what json's indent=2 encoder prints, to stdout
+    and to --output alike."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["represent", "counts.csv", "--phases", "phases.json"],
+            ["simulate", "counts.csv", "--trials", "2000", "--seed", "3"],
+            ["entanglement", "joint.csv"],
+            ["entanglement", "joint.csv", "--float"],
+            ["scenario", "animal-acts"],
+            ["scenario", "animal-acts", "--float"],
+            ["scenario", "vessels", "--mode", "separate", "--trials", "2000", "--seed", "1"],
+        ],
+        ids=["represent-phases", "simulate", "entanglement", "entanglement-float",
+             "animal-acts", "animal-acts-float", "vessels"],
+    )
+    def test_stdout_and_output_file_are_the_stdlib_text(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "counts.csv").write_text("label,count\nHorse,43\nB\u00e4r,38\n",
+                                             encoding="utf-8")
+        (tmp_path / "phases.json").write_text('{"B\\u00e4r": 0.5}')
+        (tmp_path / "joint.csv").write_text(JOINT_CSV)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == report_text_oracle(json.loads(out)) + "\n"
+        code, printed, err = run(capsys, *argv, "--output", "report.json")
+        assert (code, printed, err) == (0, "", "")
+        assert (tmp_path / "report.json").read_bytes() == out.encode("ascii")
