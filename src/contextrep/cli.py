@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -193,7 +194,9 @@ def _config_from(args: argparse.Namespace) -> dict:
     """The report's `config` block: five keys, None where the subcommand lacks the flag."""
     arithmetic = "float" if getattr(args, "float", False) else None
     tolerance = getattr(args, "tolerance", None)
-    if tolerance is not None and not (tolerance >= 0):
+    if tolerance is not None and not math.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
+    if tolerance is not None and tolerance < 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     trials = getattr(args, "trials", None)
     if trials is not None and trials < 1:

@@ -32,17 +32,17 @@ not a short reduction per row; wider rows stay row-major and take an argmin,
 since there the transposed copy costs more than it saves.  The minimum is
 exact in both, so each row gets the same tie bound and the counts agree.
 
-Monte Carlo draws come from one generator stream in batch order: batch i is
-always stream segment i, whichever thread takes it.  Batches are classified
-on up to 4 CPUs and their counts summed, so the counts for a seed do not
-depend on the CPU count.  A job of one batch runs on the calling thread.
+Monte Carlo's calling thread draws every batch, in stream order, and up to
+3 threads classify them, with at most one batch per thread in flight; the
+counts are summed, so they do not depend on the CPU count.  A job of one
+batch, or a process on one CPU, starts no thread.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence, Union
 
@@ -186,62 +186,50 @@ def trial_chunks(trials: int, chunk: int) -> Iterator[int]:
 
 
 def _mc_workers() -> int:
-    """Threads that classify Monte Carlo batches: the CPUs this process may run on, at most 4."""
+    """Threads on a Monte Carlo job: the CPUs this process may run on, at most 4.
+
+    They are the calling thread, which draws every batch, and up to 3 that
+    classify them.  Drawing a row takes about as long as classifying it or
+    longer (11 and 14 ns at n = 2, 88 and 54 ns at n = 16, on 2 vCPUs), so
+    one stream keeps about one classifier busy, and the cap bounds the
+    threads that would only wait for it.
+    """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    # One generator stream feeds every classifier.  The draw alone is about
-    # half of each trial (17 of 33 ns at n = 2, 82 of 134 ns at n = 16, on 2
-    # vCPUs), so the stream keeps about two busy and the cap of 4 bounds the
-    # threads that would only wait for it.
     return min(cpus, 4)
 
 
 def _exponential_batches(
     rng: np.random.Generator, trials: int, n: int, work: Callable[[np.ndarray], Any]
 ) -> list:
-    """`work` of each batch of `trials` rows of n Exp(1) draws, in no particular order.
+    """`work` of each batch of `trials` rows of n Exp(1) draws, in batch order.
 
-    Batch i is always segment i of the stream, of size i of `trial_chunks`:
-    one lock covers taking a size and filling it, so draws keep stream order,
-    and `work` runs outside it, on up to `_mc_workers()` threads (numpy
-    releases the GIL in both).  A job of one batch is drawn and classified on
-    the calling thread, with no lock or thread.  `work` may overwrite its
-    batch.  The first exception any batch raises stops the rest and is raised
-    here, after every thread ended.
+    The calling thread draws every batch, of the sizes `trial_chunks` gives,
+    so batch i is segment i of the stream.  With w = min(`_mc_workers()`,
+    batches) above 1, `work` runs on a pool of w - 1 threads (numpy releases
+    the GIL in both), and the caller takes the oldest result before drawing
+    once w are pending, so at most w batches are alive.  `work` may overwrite
+    its batch.  An exception from `work` is raised here, with no further
+    batch drawn and the pool's threads ended.
     """
-    if trials <= _MC_BATCH:
-        return [work(rng.standard_exponential((trials, n)))]
     sizes = trial_chunks(trials, _MC_BATCH)
     workers = min(_mc_workers(), math.ceil(trials / _MC_BATCH))
-    lock = threading.Lock()
+    if workers == 1:
+        return [work(rng.standard_exponential((size, n))) for size in sizes]
+    # Imported here, not at the top: concurrent.futures imports logging, about
+    # 6 ms that every `import contextrep` would pay for a path it may not take.
+    from concurrent.futures import ThreadPoolExecutor
+
     results: list = []
-    errors: list[BaseException] = []
-
-    def worker() -> None:
-        g = np.empty((_MC_BATCH, n))
-        try:
-            while True:
-                with lock:
-                    size = 0 if errors else next(sizes, 0)
-                    if not size:
-                        return
-                    rng.standard_exponential(out=g[:size])  # the stream of exponential(1.0, size)
-                results.append(work(g[:size]))
-        except BaseException as exc:  # raised again by the calling thread below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        worker()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    pending: deque = deque()
+    with ThreadPoolExecutor(workers - 1) as pool:
+        for size in sizes:
+            if len(pending) == workers:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(work, rng.standard_exponential((size, n))))
+        results.extend(future.result() for future in pending)
     return results
 
 

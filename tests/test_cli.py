@@ -428,6 +428,13 @@ class TestConfigBlock:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (3, "", "error: trials must be at least 1, got 0\n")
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_refused_first(self, capsys, tolerance):
+        """A NaN or infinite tolerance is named as such, before trials and any simulation."""
+        argv = ["scenario", "vessels", "--mode", "separate", "--trials", "0"]
+        code, out, err = run(capsys, *argv, f"--tolerance={tolerance}")
+        assert (code, out, err) == (3, "", f"error: tolerance must be finite, got {tolerance}\n")
+
 
 class TestParserReuse:
     def test_parser_is_built_once(self):

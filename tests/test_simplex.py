@@ -342,6 +342,24 @@ class TestSeedContract:
         assert (mc.counts, mc.boundary_hits) == (tuple(counts), boundary_hits)
 
 
+class RecordingStream:
+    """Stands in for the generator: draw i is a batch of i's, and its thread is recorded.
+
+    `overdrawn` is set once more than `limit` batches have been drawn.
+    """
+
+    def __init__(self, limit=None):
+        self.threads = []
+        self.limit = limit
+        self.overdrawn = threading.Event()
+
+    def standard_exponential(self, size):
+        self.threads.append(threading.get_ident())
+        if self.limit is not None and len(self.threads) > self.limit:
+            self.overdrawn.set()
+        return np.full(size, float(len(self.threads) - 1))
+
+
 class TestParallelBatches:
     @pytest.fixture
     def short_switch_interval(self):
@@ -388,6 +406,60 @@ class TestParallelBatches:
         monkeypatch.setattr(threading, "Thread", no_thread)
         mc = monte_carlo_measurement(make_context((0.5, 0.5)), trials, seed=0)
         assert sum(mc.counts) + mc.boundary_hits == trials
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_calling_thread_draws_every_batch_in_order(self, workers, monkeypatch):
+        """Every draw runs on the calling thread, and results come back in batch order."""
+        monkeypatch.setattr(simplex, "_mc_workers", lambda: workers)
+        rng = RecordingStream()
+        caller = threading.get_ident()
+        results = simplex._exponential_batches(
+            rng, 5 * _MC_BATCH + 1, 2, lambda g: (threading.get_ident(), int(g[0, 0]), len(g))
+        )
+        assert rng.threads == [caller] * 6
+        assert [(i, size) for _, i, size in results] == [
+            (i, _MC_BATCH) for i in range(5)] + [(5, 1)]
+        classified_on = {thread for thread, _, _ in results}
+        if workers == 1:
+            assert classified_on == {caller}
+        else:
+            assert caller not in classified_on
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_at_most_workers_batches_drawn_while_the_first_is_blocked(
+        self, workers, monkeypatch
+    ):
+        """Batch 0 waits until more than `workers` batches are drawn, or half a second."""
+        monkeypatch.setattr(simplex, "_mc_workers", lambda: workers)
+        rng = RecordingStream(limit=workers)
+        drawn_at_release = []
+
+        def work(g):
+            if g[0, 0] == 0:
+                rng.overdrawn.wait(timeout=0.5)
+                drawn_at_release.append(len(rng.threads))
+            return len(g)
+
+        results = simplex._exponential_batches(rng, 4 * workers * _MC_BATCH, 2, work)
+        assert results == [_MC_BATCH] * (4 * workers)
+        assert drawn_at_release[0] <= workers
+
+    @pytest.mark.parametrize("workers, failing", [(2, 1), (3, 1), (3, 4)])
+    def test_failed_batch_stops_the_draws_and_the_pool(self, workers, failing, monkeypatch):
+        """Batch `failing` (from 1) raises: batches after it are drawn only while it is pending."""
+        monkeypatch.setattr(simplex, "_mc_workers", lambda: workers)
+        rng = RecordingStream()
+
+        def work(g):
+            if g[0, 0] == failing - 1:
+                raise RuntimeError(f"batch {failing} failed")
+            return len(g)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"batch {failing} failed"):
+            simplex._exponential_batches(rng, 10 * workers * _MC_BATCH, 2, work)
+        assert len(rng.threads) <= failing - 1 + workers
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 3), (64, 4)])
     def test_workers_follow_affinity_up_to_four(self, cpus, workers, monkeypatch):
