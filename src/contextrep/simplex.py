@@ -189,10 +189,10 @@ def _mc_workers() -> int:
     """Threads on a Monte Carlo job: the CPUs this process may run on, at most 4.
 
     They are the calling thread, which draws every batch, and up to 3 that
-    classify them.  Drawing a row takes about as long as classifying it or
-    longer (11 and 14 ns at n = 2, 88 and 54 ns at n = 16, on 2 vCPUs), so
-    one stream keeps about one classifier busy, and the cap bounds the
-    threads that would only wait for it.
+    classify them.  Drawing a row takes 11 ns at n = 2 and 88 at n = 16,
+    classifying it 14 and 54 (2 vCPUs), so one stream feeds one or two
+    classifiers.  The pool starts a thread only when none is idle, so one the
+    stream cannot feed is seldom started.  The cap was measured on 2 CPUs only.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))

@@ -429,14 +429,17 @@ class TestParallelBatches:
     def test_at_most_workers_batches_drawn_while_the_first_is_blocked(
         self, workers, monkeypatch
     ):
-        """Batch 0 waits until more than `workers` batches are drawn, or half a second."""
+        """Batch 0 waits until more than `workers` batches are drawn, or 0.1 s.
+
+        A correct runner waits out the 0.1 s; an eager one overdraws within microseconds.
+        """
         monkeypatch.setattr(simplex, "_mc_workers", lambda: workers)
         rng = RecordingStream(limit=workers)
         drawn_at_release = []
 
         def work(g):
             if g[0, 0] == 0:
-                rng.overdrawn.wait(timeout=0.5)
+                rng.overdrawn.wait(timeout=0.1)
                 drawn_at_release.append(len(rng.threads))
             return len(g)
 
