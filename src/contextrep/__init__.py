@@ -9,6 +9,8 @@ decision procedure that labels a joint table product or entangled, with a
 2x2 minor witness in the entangled case.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ContextRepError,
     FamilyMismatch,
@@ -84,65 +86,6 @@ from .simplex import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOUNDARY_TOLERANCE",
-    "FLOAT_TOLERANCE",
-    "NORM_TOLERANCE",
-    "SUM_TOLERANCE",
-    "AnimalActsDataset",
-    "AnimalActsTables",
-    "BlockSpectralFamily",
-    "Boundary",
-    "ComplexContextVector",
-    "ContextId",
-    "ContextRepError",
-    "CountTable",
-    "Deterministic",
-    "EntanglementReport",
-    "FamilyMismatch",
-    "HiddenVariable",
-    "InvalidCounts",
-    "InvalidDistribution",
-    "InvalidFamily",
-    "InvalidHiddenVariable",
-    "InvalidJointTable",
-    "InvalidPhases",
-    "JointComplexVector",
-    "JointTable",
-    "Marginals",
-    "MinorWitness",
-    "MonteCarloMeasurement",
-    "OutcomeResolution",
-    "OutcomeSet",
-    "ParseError",
-    "PhaseAssignment",
-    "ProbabilityVector",
-    "RealContextVector",
-    "UnsupportedFamily",
-    "VesselsConfig",
-    "VesselsOutcomeCounts",
-    "animal_acts_dataset",
-    "animal_acts_tables",
-    "apply_projector",
-    "born_probability",
-    "build_complex_context",
-    "build_joint_vectors",
-    "build_real_context",
-    "classify_hidden_variable",
-    "display_rounded",
-    "factorization_certificate",
-    "is_product",
-    "marginals",
-    "monte_carlo_measurement",
-    "parse_counts_csv",
-    "parse_counts_json",
-    "parse_joint_csv",
-    "parse_joint_json",
-    "probabilities_from_counts",
-    "region_measure_ratio",
-    "sample_hidden_variables",
-    "simulate_vessels",
-    "tensor_product_complex",
-    "tensor_product_real",
-    "vessels_joint_table",
-]
+# The import block above is the one list of public names.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -1,17 +1,7 @@
 """Command-line front end; `contextrep --help` lists the subcommands.
 
-Counts files are CSV (`label,count`) or JSON (`{"label": count}`); joint
-counts are CSV (`row_label,col_label,count`) or JSON
-(`{rows, cols, counts}`).  Format is picked by extension, falling back to
-content sniffing.  All reports are JSON, embed the configuration that
-produced them, and are byte-identical across runs with equal inputs.  A
-report's bytes are exactly what `json.dumps(report, indent=2)` writes
-(non-ASCII characters escaped, keys in the order the report builds them)
-plus a trailing newline; `_dumps` writes them in one pass, and the stdlib
-encoder stays the specification it is tested against.
-
-Exit codes: 0 success, 2 unreadable or unparseable input, 3 semantic error
-(invalid counts, mismatched labels, bad configuration).
+The README's "Command line" section gives the input formats, the report
+bytes and the exit codes.
 """
 
 from __future__ import annotations
@@ -20,7 +10,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -31,6 +20,7 @@ from .hilbert import ComplexContextVector, PhaseAssignment, build_complex_contex
 from .joint import (
     JointTable,
     build_joint_vectors,
+    check_tolerance,
     default_tolerance,
     is_product,
     parse_joint_csv,
@@ -194,10 +184,8 @@ def _config_from(args: argparse.Namespace) -> dict:
     """The report's `config` block: five keys, None where the subcommand lacks the flag."""
     arithmetic = "float" if getattr(args, "float", False) else None
     tolerance = getattr(args, "tolerance", None)
-    if tolerance is not None and not math.isfinite(tolerance):
-        raise ValueError(f"tolerance must be finite, got {tolerance}")
-    if tolerance is not None and tolerance < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    if tolerance is not None:
+        check_tolerance(tolerance)
     trials = getattr(args, "trials", None)
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

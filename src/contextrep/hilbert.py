@@ -101,8 +101,11 @@ class PhaseAssignment:
 
     def __post_init__(self) -> None:
         normalized = []
-        for a in self.angles:
-            a = float(a)
+        for j, a in enumerate(self.angles):
+            try:
+                a = float(a)
+            except OverflowError:  # an int or Fraction beyond float range, not inf
+                raise InvalidPhases(f"phase at index {j} is too large for a float") from None
             if not math.isfinite(a):
                 raise InvalidPhases(f"phase {a!r} is not finite")
             a %= TWO_PI
@@ -125,7 +128,7 @@ class PhaseAssignment:
         for label, a in angles.items():
             if isinstance(a, bool) or not isinstance(a, (int, float)):
                 raise InvalidPhases(f"phase for {label!r} must be a number, got {a!r}")
-        return cls(tuple(float(angles.get(l, 0.0)) for l in labels))
+        return cls(tuple(angles.get(l, 0.0) for l in labels))
 
 
 @dataclass(frozen=True)

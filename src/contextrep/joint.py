@@ -1,19 +1,8 @@
 """Tensor-product joint representations and the product/entangled decision.
 
-A joint measurement over outcome pairs (row j, column k) is carried as an
-n x n' probability matrix.  The joint real vector lists the entries in
-row-major order over the tensor basis (basis index j*n' + k); the joint
-complex vector carries sqrt(p_jk) moduli with free phases.
-
-Decision procedure
-------------------
-If the matrix factors as an outer product of *any* probability pair, it
-factors through its own marginals (sum the factorization over rows/columns),
-so the test checks probs == outer(row marginals, col marginals).  Tables that
-fail get a witness: the 2x2 minor of maximal absolute value, the first one in
-(j, j', k, k') loop order when several tie, a rank-1 obstruction checkable by
-hand.  Tables built from integer counts are decided exactly with zero
-tolerance; float tables get a small default tolerance.
+The README states the decision, its witness and its tolerances.  A joint
+table is an n x n' probability matrix over outcome pairs (row j, column k);
+its joint real vector lists the entries row-major (basis index j*n' + k).
 
 Every table is decided through one form (C, T, div, R, K), built once, with
 probs == C / T: the counts over their total; for a rational table without
@@ -22,17 +11,11 @@ table, its own entries over T = 1, with div(x, 1) == x (but a sum rounded
 above 1 is 1.0), so every float bit and entry type is kept.  R and K are the
 row and column sums of C; the marginals are div(R_j, T) and div(K_k, T), the
 residual is div(max |T*C_jk - R_j*K_k|, T^2), and each 2x2 minor of probs is
-div of the same minor of C by T^2.  So exact tables are decided in integers,
-fraction-free (Bareiss 1968), with `Fraction` built only for these reported
-values, each computed once per table: the table caches its marginals and
-residual for `is_product` and `factorization_certificate` alike.  An exact
-table's marginals are integer sums over their positive total, so they lie in
-[0, 1] and sum to exactly 1, and their vectors skip the simplex check that a
-float table's marginals still pass.  The witness kernel takes one row's
-minors against all later rows at once, and alone picks a dtype: float64 for a
-float table (the products and differences of a scalar loop, so bit-identical
-witnesses), int64 when 2*max(C)^2 < 2^63 (no product or difference can
-overflow), and object-dtype Python ints otherwise.
+div of the same minor of C by T^2, so exact tables are decided in integers.
+The witness kernel alone picks a dtype: float64 for a float table (the
+products and differences of a scalar loop, so bit-identical witnesses), int64
+when 2*max(C)^2 < 2^63 (no product or difference can overflow), and
+object-dtype Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -375,6 +358,14 @@ def default_tolerance(t: JointTable) -> Value:
     return Fraction(0) if t.is_exact else FLOAT_TOLERANCE
 
 
+def check_tolerance(tol: Value) -> None:
+    """Refuse a product-test tolerance that is not finite, then one that is negative."""
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, got {tol!r}")
+    if tol < 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
+
+
 def is_product(t: JointTable, tol: Value | None = None) -> EntanglementReport:
     """Decide whether the table is an outer product of its marginals.
 
@@ -386,10 +377,7 @@ def is_product(t: JointTable, tol: Value | None = None) -> EntanglementReport:
     """
     if tol is None:
         tol = default_tolerance(t)
-    if not math.isfinite(tol):
-        raise ValueError(f"tolerance must be finite, got {tol!r}")
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tolerance(tol)
     marg = marginals(t)
     residual = t._residual
     arithmetic: Literal["exact", "float"] = "exact" if t.is_exact else "float"
@@ -405,10 +393,10 @@ def factorization_certificate(
 
     The test is the one `is_product` applies with its default tolerance: the
     outer-product residual must be at most `default_tolerance(t)`, so exact
-    tables are certified exactly (every 2x2 minor vanishes, by the module
-    docstring) and float tables within FLOAT_TOLERANCE.  No witness is
-    searched for.  A zero row or column never blocks the certificate; its
-    marginal entry is simply zero.
+    tables are certified exactly (a zero residual makes the table the outer
+    product of its marginals) and float tables within FLOAT_TOLERANCE.  No
+    witness is searched for.  A zero row or column never blocks the
+    certificate; its marginal entry is simply zero.
     """
     marg = marginals(t)
     if t._residual <= default_tolerance(t):

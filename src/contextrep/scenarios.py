@@ -1,26 +1,20 @@
 """Built-in scenarios: the animal-acts survey and the vessels-of-water simulator.
 
-Two self-contained case studies exercise the whole pipeline.  The animal-acts
-dataset embeds survey counts for a paired concept test (which animal, which
-act) whose joint statistics do not factor into the product of their marginals.
-The vessels simulator draws water volumes for two vessels and classifies each
-side as more (M) or less (L) than a threshold; separate vessels give
-independent uniform volumes, connected vessels share a fixed total and are
-perfectly anticorrelated when the threshold is half the capacity.
+The README's "Built-in scenarios" section describes both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidCounts
 from .joint import JointTable
-from .probability import (CountTable, OutcomeSet, ProbabilityVector, check_count, count_matrix,
-                          is_integer, probabilities_from_counts)
+from .probability import (CountTable, OutcomeSet, ProbabilityVector, check_count, is_integer,
+                          probabilities_from_counts)
 from .simplex import trial_chunks
 
 ANIMAL_OUTCOMES = OutcomeSet(("Horse", "Bear"))
@@ -32,18 +26,21 @@ VESSEL_OUTCOMES = OutcomeSet(("M", "L"))
 class AnimalActsDataset:
     """Survey counts: two marginal measurements and one joint, same participant pool.
 
-    joint_counts rows follow animal_counts order, columns follow act_counts order.
+    joint_counts rows follow animal_counts order, columns follow act_counts order;
+    `joint` is their exact table, built and checked once, here.
     """
 
     animal_counts: CountTable
     act_counts: CountTable
     joint_counts: tuple[tuple[int, ...], ...]
+    joint: JointTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        joint_counts, joint_total = count_matrix(self.joint_counts, self.animal_counts.outcomes.n,
-                                                 self.act_counts.outcomes.n, InvalidCounts)
-        object.__setattr__(self, "joint_counts", joint_counts)
-        if not (self.animal_counts.total == self.act_counts.total == joint_total):
+        joint = JointTable.from_counts(self.animal_counts.outcomes, self.act_counts.outcomes,
+                                       self.joint_counts)
+        object.__setattr__(self, "joint_counts", joint.counts)
+        object.__setattr__(self, "joint", joint)
+        if not (self.animal_counts.total == self.act_counts.total == sum(map(sum, joint.counts))):
             raise InvalidCounts(
                 "marginal and joint experiments must poll the same number of participants"
             )
@@ -79,11 +76,7 @@ def animal_acts_tables(dataset: AnimalActsDataset | None = None) -> AnimalActsTa
     return AnimalActsTables(
         animal=probabilities_from_counts(dataset.animal_counts),
         act=probabilities_from_counts(dataset.act_counts),
-        joint=JointTable.from_counts(
-            dataset.animal_counts.outcomes,
-            dataset.act_counts.outcomes,
-            dataset.joint_counts,
-        ),
+        joint=dataset.joint,
     )
 
 

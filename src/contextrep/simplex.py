@@ -20,22 +20,9 @@ For v_k = 0 the region A_k is degenerate (measure zero): the ratio is +inf
 when lambda_k > 0, and when lambda_k = 0 the index only joins a boundary tie,
 so a forbidden outcome is never emitted.
 
-The rule is scale-invariant: an unnormalized row g with sum S has the ratios
-of g / S times S, so Monte Carlo classifies raw Exp(1) draws times 1 / v_k
-with the tie tolerance scaled by S.  One kernel, `_classify_batch`, applies
-the rule to one point (`classify_hidden_variable`) or a batch of draws
-(`monte_carlo_measurement`).  Its one tie mask settles each row it gives a
-single index; only the rare rest take the exact path, which builds the 0/0 mask.
-Rows of up to 16 outcomes are laid out outcome-major, so the row minimum, the
-tie mask and the tally per outcome are each a contiguous pass over the batch,
-not a short reduction per row; wider rows stay row-major and take an argmin,
-since there the transposed copy costs more than it saves.  The minimum is
-exact in both, so each row gets the same tie bound and the counts agree.
-
-Monte Carlo's calling thread draws every batch, in stream order, and up to
-3 threads classify them, with at most one batch per thread in flight; the
-counts are summed, so they do not depend on the CPU count.  A job of one
-batch, or a process on one CPU, starts no thread.
+One kernel, `_classify_batch`, applies the rule to one point
+(`classify_hidden_variable`) and to every Monte Carlo batch.  The README
+describes how Monte Carlo draws, lays out and classifies its batches.
 """
 
 from __future__ import annotations

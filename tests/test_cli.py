@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextrep import VesselsConfig
+from contextrep import VesselsConfig, is_product, parse_joint_csv
 from contextrep.cli import _build_parser, _dumps, main
 from oracles import report_text_oracle
 
@@ -315,6 +315,15 @@ class TestExitCodes:
         assert (code, stdout) == (3, "")
         assert err == "error: duplicate key 'Horse' in JSON phases\n"
 
+    def test_phase_too_large_for_a_float_is_3(self, tmp_path, capsys):
+        f = tmp_path / "animal.csv"
+        f.write_text(ANIMAL_CSV)
+        phases = tmp_path / "phases.json"
+        phases.write_text('{"Horse": 1' + "0" * 400 + "}")
+        code, stdout, err = run(capsys, "represent", str(f), "--phases", str(phases))
+        assert (code, stdout) == (3, "")
+        assert err == "error: phase at index 0 is too large for a float\n"
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf"])
     def test_non_finite_tolerance_is_3(self, tmp_path, capsys, tolerance):
         f = tmp_path / "joint.csv"
@@ -434,6 +443,16 @@ class TestConfigBlock:
         argv = ["scenario", "vessels", "--mode", "separate", "--trials", "0"]
         code, out, err = run(capsys, *argv, f"--tolerance={tolerance}")
         assert (code, out, err) == (3, "", f"error: tolerance must be finite, got {tolerance}\n")
+
+    @pytest.mark.parametrize("tolerance", ["-1.0", "nan", "inf", "-inf"])
+    def test_library_and_cli_state_the_tolerance_rule_alike(self, tmp_path, capsys, tolerance):
+        f = tmp_path / "joint.csv"
+        f.write_text(JOINT_CSV)
+        with pytest.raises(ValueError) as refused:
+            is_product(parse_joint_csv(JOINT_CSV), tol=float(tolerance))
+        code, out, err = run(capsys, "entanglement", str(f), f"--tolerance={tolerance}")
+        assert (code, out) == (3, "")
+        assert err == f"error: {refused.value}\n"
 
 
 class TestParserReuse:

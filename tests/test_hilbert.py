@@ -105,6 +105,13 @@ class TestPhaseAssignment:
         with pytest.raises(InvalidPhases):
             PhaseAssignment((math.nan,))
 
+    def test_rejects_an_integer_too_large_for_a_float(self):
+        """Refused as a phase, as inf is, not left to float()'s OverflowError."""
+        with pytest.raises(InvalidPhases, match="phase at index 1 is too large for a float"):
+            PhaseAssignment((0.5, 10**400))
+        with pytest.raises(InvalidPhases, match="index 0"):
+            PhaseAssignment.from_mapping({"a": 10**400}, labels=("a", "b"))
+
 
 class TestBuildComplexContext:
     def test_rank_one_moduli_are_square_roots(self):
