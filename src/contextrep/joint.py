@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Literal, Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     FamilyMismatch,
     InvalidCounts,
@@ -52,6 +50,10 @@ from .probability import (
     load_json,
 )
 from .simplex import RealContextVector
+
+# numpy is imported in the one function that computes with it, the witness
+# search, not here: loading it takes about 100 ms that every `import
+# contextrep` and numpy-free report would pay.
 
 #: Default product-test tolerance for tables carried in floating point.
 FLOAT_TOLERANCE = 1e-9
@@ -315,6 +317,8 @@ def _max_minor(t: JointTable) -> Optional[MinorWitness]:
     one array over the column pairs k < k', so memory is O(n * m^2), never a
     whole n^2 x m^2 array.
     """
+    import numpy as np
+
     cells, total, div, _, _ = t._form
     dtype = np.float64
     if t.is_exact:
@@ -360,7 +364,11 @@ def default_tolerance(t: JointTable) -> Value:
 
 def check_tolerance(tol: Value) -> None:
     """Refuse a product-test tolerance that is not finite, then one that is negative."""
-    if not math.isfinite(tol):
+    try:
+        finite = math.isfinite(tol)
+    except OverflowError:  # an int or Fraction beyond float range, not inf
+        raise ValueError("tolerance is too large for a float") from None
+    if not finite:
         raise ValueError(f"tolerance must be finite, got {tol!r}")
     if tol < 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol!r}")

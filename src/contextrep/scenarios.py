@@ -9,13 +9,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
-import numpy as np
-
 from .errors import InvalidCounts
 from .joint import JointTable
 from .probability import (CountTable, OutcomeSet, ProbabilityVector, check_count, is_integer,
                           probabilities_from_counts)
 from .simplex import trial_chunks
+
+# numpy is imported in the one function that computes with it, not here:
+# loading it takes about 100 ms that every `import contextrep` and numpy-free
+# report would pay.
 
 ANIMAL_OUTCOMES = OutcomeSet(("Horse", "Bear"))
 ACT_OUTCOMES = OutcomeSet(("Growls", "Whinnies"))
@@ -105,8 +107,11 @@ class VesselsConfig:
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
         if not is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "capacity", float(self.capacity))
-        object.__setattr__(self, "threshold", float(self.threshold))
+        for name in ("capacity", "threshold"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except OverflowError:  # an int or Fraction beyond float range, not inf
+                raise ValueError(f"{name} is too large for a float") from None
         if not (0.0 < self.threshold < self.capacity) or not math.isfinite(self.capacity):
             raise ValueError(
                 f"need 0 < threshold < capacity, got threshold={self.threshold}, "
@@ -145,6 +150,8 @@ def simulate_vessels(cfg: VesselsConfig) -> VesselsOutcomeCounts:
     exactly for volumes in the upper half (Sterbenz), so the two sides land
     strictly on opposite sides of the threshold.
     """
+    import numpy as np
+
     rng = np.random.default_rng(cfg.seed)
     t = cfg.threshold
 

@@ -33,15 +33,18 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence, Union
 
-import numpy as np
-
 from .errors import InvalidHiddenVariable
 from .probability import (
     ContextId,
     ProbabilityVector,
     Value,
     check_simplex,
+    is_integer,
 )
+
+# numpy is imported in each function that computes with it, not here: loading
+# it takes about 100 ms that every `import contextrep` and numpy-free report
+# would pay.
 
 #: Default width for declaring two region ratios tied (a boundary hit).
 BOUNDARY_TOLERANCE = 1e-12
@@ -78,7 +81,13 @@ class HiddenVariable:
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(float(x) for x in self.coords))
+        coords = []
+        for i, x in enumerate(self.coords):
+            try:
+                coords.append(float(x))
+            except OverflowError:  # an int or Fraction beyond float range, not inf
+                raise InvalidHiddenVariable(f"coordinates[{i}] is too large for a float") from None
+        object.__setattr__(self, "coords", tuple(coords))
         if not self.coords:
             raise InvalidHiddenVariable("hidden variable needs at least one coordinate")
         check_simplex(self.coords, InvalidHiddenVariable, "coordinates")
@@ -135,6 +144,8 @@ def classify_hidden_variable(
         raise InvalidHiddenVariable(
             f"hidden variable has {len(lam)} coordinates, context has {v.n} outcomes"
         )
+    import numpy as np
+
     counts, ties = _classify_batch(np.array([lam.coords]), _reciprocals(v), tol)
     if len(ties):
         return Boundary(tuple(np.flatnonzero(ties[0]).tolist()))
@@ -162,6 +173,8 @@ def sample_hidden_variables(n: int, count: int, seed: int) -> np.ndarray:
         raise ValueError("dimension must be at least 1")
     if count < 1:
         raise ValueError("count must be at least 1")
+    import numpy as np
+
     g = np.random.default_rng(seed).exponential(scale=1.0, size=(count, n))
     return g / g.sum(axis=1, keepdims=True)
 
@@ -222,6 +235,8 @@ def _exponential_batches(
 
 def _reciprocals(v: RealContextVector) -> np.ndarray:
     """1 / v_k per outcome: +inf where v_k = 0, finite (at most the largest float) elsewhere."""
+    import numpy as np
+
     values = np.array(v.as_floats())
     with np.errstate(divide="ignore", over="ignore"):
         inv = np.minimum(1.0 / values, np.finfo(float).max)
@@ -241,6 +256,8 @@ def _classify_batch(
     outcome, which only ever ties), is a boundary: the exact path gives its
     tie mask, in row order.
     """
+    import numpy as np
+
     rows, n = g.shape
     scaled_tol = tol * np.einsum("ij->i", g)  # a row sums alike alone and in any batch
     winners = None
@@ -336,8 +353,10 @@ def monte_carlo_measurement(
     Frequencies are taken over deterministic resolutions only; boundary hits
     (a measure-zero event, so expected count 0) are reported separately.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not is_integer(trials) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    import numpy as np  # here, so that no pool thread of `_exponential_batches` loads it
+
     inv_v = _reciprocals(v)
     batches = _exponential_batches(
         np.random.default_rng(seed), trials, v.n,

@@ -3,12 +3,17 @@
 import dataclasses
 import enum
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contextrep
 from contextrep import VesselsConfig, is_product, parse_joint_csv
 from contextrep.cli import _build_parser, _dumps, main
 from oracles import report_text_oracle
@@ -510,6 +515,76 @@ class TestDeterminism:
         main(["entanglement", str(f), "--output", str(out)])
         capsys.readouterr()
         assert out.read_text() == stdout_text
+
+
+#: Run in a fresh interpreter: execute `argv[1]`, then run `cli.main` on the
+#: rest of argv, if any; print the exit code and whether numpy is loaded.
+_COLD_START = """
+import contextlib, io, sys
+exec(sys.argv[1])
+code = None
+if sys.argv[2:]:
+    import contextrep.cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = contextrep.cli.main(sys.argv[2:])
+        except SystemExit as exc:
+            code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+class TestColdStart:
+    """numpy is loaded only by a run that computes with it.
+
+    The test process imported numpy long ago, so each case runs in a fresh
+    interpreter.
+    """
+
+    @pytest.fixture
+    def cold_run(self, tmp_path):
+        (tmp_path / "animal.csv").write_text(ANIMAL_CSV)
+        (tmp_path / "joint.csv").write_text(JOINT_CSV)
+        (tmp_path / "prod.json").write_text(
+            '{"rows": ["a", "b"], "cols": ["x", "y"], "counts": [[12, 4], [6, 2]]}')
+        (tmp_path / "zero.json").write_text('{"a": 0, "b": 0}')
+        env = dict(os.environ, PYTHONPATH=str(Path(contextrep.__file__).parents[1]))
+
+        def cold_run(code, *argv):
+            done = subprocess.run([sys.executable, "-c", _COLD_START, code, *argv],
+                                  cwd=tmp_path, env=env, capture_output=True, text=True,
+                                  check=True)
+            exit_code, numpy_loaded = done.stdout.split()
+            return exit_code, numpy_loaded == "True"
+
+        return cold_run
+
+    @pytest.mark.parametrize("code", [
+        "import contextrep",
+        "import contextrep.cli",
+        # A refused `trials` is checked before numpy is imported.
+        "from contextrep import monte_carlo_measurement as mc\n"
+        "try: mc(None, 2.5, 0)\n"
+        "except ValueError: pass",
+    ], ids=["contextrep", "contextrep.cli", "refused-trials"])
+    def test_imports_and_a_refused_call_leave_numpy_unloaded(self, cold_run, code):
+        assert cold_run(code) == ("None", False)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["represent", "animal.csv"], "0"),
+        (["entanglement", "prod.json"], "0"),
+        (["represent", "zero.json"], "3"),
+        (["--help"], "0"),
+    ], ids=["represent", "product", "refused-input", "help"])
+    def test_numpy_free_reports_leave_numpy_unloaded(self, cold_run, argv, code):
+        assert cold_run("", *argv) == (code, False)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "animal.csv", "--trials", "1000"],
+        ["entanglement", "joint.csv"],
+    ], ids=["simulate", "entangled"])
+    def test_reports_that_compute_with_numpy_load_it(self, cold_run, argv):
+        assert cold_run("", *argv) == ("0", True)
 
 
 # Every code point, lone surrogates included, plus the characters json escapes.

@@ -315,6 +315,13 @@ class TestIsProduct:
             with pytest.raises(ValueError, match="finite"):
                 is_product(t, tol=tol)
 
+    @pytest.mark.parametrize("tol", [10**400, -(10**5000), Fraction(10**400, 3)],
+                             ids=["int", "int-beyond-the-str-limit", "fraction"])
+    def test_rejects_a_tolerance_too_large_for_a_float(self, tol):
+        """Refused as inf is, not left to math.isfinite's OverflowError."""
+        with pytest.raises(ValueError, match="tolerance is too large for a float"):
+            is_product(vessels_ideal(), tol=tol)
+
     def test_report_json_shape(self):
         d = is_product(animal_acts_joint()).to_json_dict()
         assert d["verdict"] == "entangled"

@@ -103,6 +103,14 @@ class TestVesselsConfig:
         with pytest.raises(ValueError):
             VesselsConfig(mode="separate", trials=0, seed=0)
 
+    @pytest.mark.parametrize("name", ["capacity", "threshold"])
+    @pytest.mark.parametrize("big", [10**400, -(10**5000), Fraction(10**400, 3)],
+                             ids=["int", "int-beyond-the-str-limit", "fraction"])
+    def test_rejects_a_geometry_too_large_for_a_float(self, name, big):
+        """Refused as inf is, not left to float()'s OverflowError."""
+        with pytest.raises(ValueError, match=f"{name} is too large for a float"):
+            VesselsConfig(mode="separate", trials=10, seed=0, **{name: big})
+
 
 class TestVesselsOutcomeCounts:
     def test_total_and_mapping(self):

@@ -71,6 +71,13 @@ class TestHiddenVariable:
     def test_accepts_vertex(self):
         HiddenVariable((1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("lam, index", [((10**400, 0), 0), ((0, -(10**5000)), 1)])
+    def test_rejects_a_coordinate_too_large_for_a_float(self, lam, index):
+        """Refused as out of range, not left to float()'s OverflowError."""
+        with pytest.raises(InvalidHiddenVariable,
+                           match=rf"coordinates\[{index}\] is too large for a float"):
+            classify_hidden_variable(make_context((0.5, 0.5)), lam)
+
 
 class TestClassify:
     def test_even_coin_example(self):
@@ -245,6 +252,16 @@ class TestMonteCarloMeasurement:
         v = make_context((0.5, 0.5))
         with pytest.raises(ValueError):
             monte_carlo_measurement(v, trials=0, seed=0)
+
+    @pytest.mark.parametrize("trials", [True, 2.5, 0])
+    def test_rejects_trials_that_are_not_a_positive_integer(self, trials, monkeypatch):
+        """The rule VesselsConfig applies, checked before any draw."""
+        def no_draw(*args):
+            raise AssertionError("a refused job drew")
+
+        monkeypatch.setattr(simplex, "_exponential_batches", no_draw)
+        with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials}"):
+            monte_carlo_measurement(make_context((0.5, 0.5)), trials, seed=0)
 
     def test_three_sigma_bounds(self):
         v = make_context((Fraction(1, 4), Fraction(3, 4)))
