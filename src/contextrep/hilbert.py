@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import FamilyMismatch, InvalidFamily, InvalidPhases
-from .probability import ContextId, OutcomeSet, ProbabilityVector, is_integer
+from .probability import ContextId, OutcomeSet, ProbabilityVector, is_integer, shown
 
 #: Allowed deviation from exact unit norm / exact block weight.
 NORM_TOLERANCE = 1e-12
@@ -65,14 +65,14 @@ class BlockSpectralFamily:
         if n < 1:
             raise InvalidFamily("at least one block is required")
         if not (n <= self.m <= n * n):
-            raise InvalidFamily(f"ambient dimension {self.m} outside [{n}, {n * n}]")
+            raise InvalidFamily(f"ambient dimension {shown(self.m)} outside [{n}, {n * n}]")
         seen: set[int] = set()
         for k, block in enumerate(self.blocks):
             if not 1 <= len(block) <= n:
                 raise InvalidFamily(f"block {k} has size {len(block)}, allowed 1..{n}")
             for j in block:
                 if not (is_integer(j) and 0 <= j < self.m):
-                    raise InvalidFamily(f"block {k} holds invalid ambient index {j!r}")
+                    raise InvalidFamily(f"block {k} holds invalid ambient index {shown(j)}")
                 if j in seen:
                     raise InvalidFamily(f"ambient index {j} appears in two blocks")
                 seen.add(j)
@@ -203,13 +203,13 @@ def build_complex_context(
 def born_probability(w: ComplexContextVector, k: int) -> float:
     """Squared amplitude weight of outcome k's block."""
     if not 0 <= k < w.family.n_blocks:
-        raise IndexError(f"outcome index {k} out of range for {w.family.n_blocks} outcomes")
+        raise IndexError(f"outcome index {shown(k)} out of range for {w.family.n_blocks} outcomes")
     return sum(abs(w.amplitudes[j]) ** 2 for j in w.family.blocks[k])
 
 
 def apply_projector(w: ComplexContextVector, k: int) -> tuple[complex, ...]:
     """Project onto outcome k's block: amplitudes outside the block become 0."""
     if not 0 <= k < w.family.n_blocks:
-        raise IndexError(f"outcome index {k} out of range for {w.family.n_blocks} outcomes")
+        raise IndexError(f"outcome index {shown(k)} out of range for {w.family.n_blocks} outcomes")
     keep = set(w.family.blocks[k])
     return tuple(a if j in keep else 0j for j, a in enumerate(w.amplitudes))

@@ -37,21 +37,35 @@ def is_exact_value(x: Value) -> bool:
     return isinstance(x, Fraction) or is_integer(x)
 
 
+def shown(x: object) -> str:
+    """repr(x), but an int too long for str() as its sign and number of digits."""
+    try:
+        return repr(x)
+    except ValueError:  # past sys.get_int_max_str_digits(), which only an int reaches here
+        digits = int(abs(x).bit_length() * 0.30102)  # at most its length: log10(2) > 0.30102
+        while 10**digits <= abs(x):
+            digits += 1
+        return f"{'a negative' if x < 0 else 'an'} integer of {digits} digits"
+
+
 def check_count(c: object, error: type[Exception], what: str) -> None:
     """Raise `error` unless the count `c`, named `what`, is a nonnegative integer."""
     if not is_integer(c) or c < 0:
-        raise error(f"invalid {what}: {c!r} is not a nonnegative integer")
+        raise error(f"invalid {what}: {shown(c)} is not a nonnegative integer")
 
 
 def count_matrix(counts: Sequence[Sequence[int]], n_rows: int, n_cols: int,
                  error: type[Exception]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(rows as tuples, total); `error` unless an n_rows x n_cols count matrix totals >= 1."""
-    rows = tuple(tuple(row) for row in counts)
+    rows = tuple(map(tuple, counts))
     if [len(row) for row in rows] != [n_cols] * n_rows:
         raise error(f"counts matrix shape must be {n_rows} x {n_cols}")
-    for j, row in enumerate(rows):
-        for k, c in enumerate(row):
-            check_count(c, error, f"count at cell ({j}, {k})")
+    # Every cell an int (not a bool or subclass) and none negative, checked at C
+    # speed; otherwise the cell loop names the first bad one.
+    if set().union(*[map(type, row) for row in rows]) != {int} or min(map(min, rows)) < 0:
+        for j, row in enumerate(rows):
+            for k, c in enumerate(row):
+                check_count(c, error, f"count at cell ({j}, {k})")
     total = sum(map(sum, rows))
     if total < 1:
         raise error("total count must be at least 1")

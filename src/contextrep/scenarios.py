@@ -12,7 +12,7 @@ from typing import Literal, NamedTuple
 from .errors import InvalidCounts
 from .joint import JointTable
 from .probability import (CountTable, OutcomeSet, ProbabilityVector, check_count, is_integer,
-                          probabilities_from_counts)
+                          probabilities_from_counts, shown)
 from .simplex import trial_chunks
 
 # numpy is imported in the one function that computes with it, not here:
@@ -104,7 +104,7 @@ class VesselsConfig:
         if self.mode not in ("separate", "connected"):
             raise ValueError(f"mode must be 'separate' or 'connected', got {self.mode!r}")
         if not is_integer(self.trials) or self.trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
+            raise ValueError(f"trials must be a positive integer, got {shown(self.trials)}")
         if not is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         for name in ("capacity", "threshold"):

@@ -40,6 +40,7 @@ from .probability import (
     Value,
     check_simplex,
     is_integer,
+    shown,
 )
 
 # numpy is imported in each function that computes with it, not here: loading
@@ -159,7 +160,7 @@ def region_measure_ratio(v: RealContextVector, j: int) -> Value:
     barycentric coordinate of v, so no integration is needed.
     """
     if not 0 <= j < v.n:
-        raise IndexError(f"outcome index {j} out of range for {v.n} outcomes")
+        raise IndexError(f"outcome index {shown(j)} out of range for {v.n} outcomes")
     return v.probs[j]
 
 
@@ -354,7 +355,7 @@ def monte_carlo_measurement(
     (a measure-zero event, so expected count 0) are reported separately.
     """
     if not is_integer(trials) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+        raise ValueError(f"trials must be a positive integer, got {shown(trials)}")
     import numpy as np  # here, so that no pool thread of `_exponential_batches` loads it
 
     inv_v = _reciprocals(v)

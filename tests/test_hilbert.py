@@ -77,6 +77,13 @@ class TestBlockSpectralFamily:
         with pytest.raises(InvalidFamily, match="invalid ambient index"):
             BlockSpectralFamily(2, blocks)
 
+    def test_dimension_and_index_too_long_for_str_are_named_by_length(self):
+        with pytest.raises(InvalidFamily, match="ambient dimension an integer of 5001 digits"):
+            BlockSpectralFamily(10**5000, ((0,),))
+        with pytest.raises(InvalidFamily,
+                           match="invalid ambient index a negative integer of 5001 digits"):
+            BlockSpectralFamily(2, ((0,), (-(10**5000),)))
+
     def test_accepts_maximal_dimension(self):
         fam = BlockSpectralFamily(4, ((0, 1), (2, 3)))
         assert fam.n_blocks == 2
@@ -212,6 +219,12 @@ class TestProjectors:
             apply_projector(w, 2)
         with pytest.raises(IndexError):
             born_probability(w, -1)
+
+    def test_index_too_long_for_str_is_named_by_length(self):
+        w = build_complex_context(make_distribution((0.5, 0.5)), CTX)
+        for project in (apply_projector, born_probability):
+            with pytest.raises(IndexError, match="outcome index an integer of 5001 digits"):
+                project(w, 10**5000)
 
 
 class TestComplexContextVector:

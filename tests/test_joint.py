@@ -3,8 +3,11 @@
 import functools
 import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -438,6 +441,178 @@ class TestMaxMinor:
         for probs in (((0.25, 0.75),), ((0.25,), (0.75,))):
             t = JointTable(*labelled(probs), probs)
             assert _max_minor(t) is None
+
+
+def table(counts):
+    return JointTable.from_counts(*labelled(counts), counts)
+
+
+def minor(c, j, j2, k, k2):
+    return c[j][k] * c[j2][k2] - c[j][k2] * c[j2][k]
+
+
+def assert_kernel_matches_count_oracle(t):
+    """The kernel against the scalar loop over the counts: the same minor, over T^2."""
+    witness, expected = _max_minor(t), max_minor_oracle(t.counts)
+    if expected is None:
+        assert witness is None
+        return
+    rows, cols, value = expected
+    total = sum(map(sum, t.counts))
+    assert (witness.rows, witness.cols, witness.value) == (rows, cols,
+                                                          Fraction(value, total * total))
+
+
+def float_minor(c, j, j2, k, k2):
+    """The minor as a float64 kernel computes it from the cells."""
+    return float(c[j][k]) * float(c[j2][k2]) - float(c[j][k2]) * float(c[j2][k])
+
+
+def test_a_float_table_with_exact_entries_keeps_the_float64_witness():
+    """Fraction entries of a float table enter the search, and its witness, as floats."""
+    a, d = Fraction(24, 997), Fraction(39, 991)
+    b, c = 0.004740535365471266, 0.931833060295376
+    t = JointTable(*labelled([[0, 0], [0, 0]]), ((a, b), (c, d)))
+    assert a * d - b * c != float(a) * float(d) - b * c  # exact products round otherwise
+    assert _max_minor(t).value.hex() == (float(a) * float(d) - b * c).hex()
+
+
+class TestWitnessProperties:
+    """What the witness must satisfy whichever arithmetic the search takes."""
+
+    @settings(max_examples=200)
+    @given(minor_counts(), st.randoms(use_true_random=False))
+    def test_permuting_rows_and_columns_keeps_verdict_and_witness_size(self, counts, rnd):
+        rows, cols = list(range(len(counts))), list(range(len(counts[0])))
+        rnd.shuffle(rows)
+        rnd.shuffle(cols)
+        permuted = [[counts[j][k] for k in cols] for j in rows]
+        report, moved = is_product(table(counts)), is_product(table(permuted))
+        assert moved.verdict == report.verdict
+        if report.witness is not None:
+            assert abs(moved.witness.value) == abs(report.witness.value)
+            (j, j2), (k, k2) = moved.witness.rows, moved.witness.cols
+            total = sum(map(sum, counts))
+            size = abs(minor(counts, rows[j], rows[j2], cols[k], cols[k2]))
+            assert Fraction(size, total * total) == abs(report.witness.value)
+
+    @settings(max_examples=200)
+    @given(minor_counts(), st.integers(1, 2**40))
+    def test_scaling_every_count_keeps_verdict_and_witness(self, counts, k):
+        """Up to 2^40, so one table is searched in int64 and, scaled, through the filter."""
+        report = is_product(table(counts))
+        scaled = is_product(table([[c * k for c in row] for row in counts]))
+        assert scaled.verdict == report.verdict
+        if report.witness is not None:
+            w, ws = report.witness, scaled.witness
+            assert (ws.rows, ws.cols, ws.value) == (w.rows, w.cols, w.value)
+
+    @settings(max_examples=200)
+    @given(minor_counts(), st.sampled_from(("counts", "floats")),
+           st.lists(st.one_of(st.fractions(0, 1), st.floats(0, 1e-3)), min_size=2, max_size=2))
+    def test_verdict_is_monotone_in_the_tolerance(self, counts, kind, tols):
+        t = table(counts)
+        if kind == "floats":
+            t = JointTable(t.row_outcomes, t.col_outcomes, t.as_floats())
+        verdicts = [is_product(t, tol).verdict for tol in sorted(tols + [t._residual])]
+        assert verdicts == sorted(verdicts)  # "entangled" up to some tolerance, then "product"
+
+
+def perturbed(rng, n, m, low, high):
+    """An outer product of factors in [low, high] with one cell raised by 1 to 50."""
+    u = [rng.randint(low, high) for _ in range(n)]
+    v = [rng.randint(low, high) for _ in range(m)]
+    counts = [[a * b for b in v] for a in u]
+    counts[n // 2][m // 2] += rng.randint(1, 50)
+    return counts
+
+
+class TestFilteredSearch:
+    """Exact tables past int64 are filtered in float64: the witness must stay exact."""
+
+    def test_minors_one_apart_that_float64_rounds_equal(self):
+        """Near 2^70 the later minor is larger by 1, which float64 cannot see."""
+        y = 2**20 + 5
+        counts = [[2**35, y, y - 1], [1, 2**35, 2**35]]
+        assert minor(counts, 0, 1, 0, 2) == minor(counts, 0, 1, 0, 1) + 1
+        assert float_minor(counts, 0, 1, 0, 2) == float_minor(counts, 0, 1, 0, 1)
+        assert _max_minor(table(counts)).cols == (0, 2)
+        assert_kernel_matches_count_oracle(table(counts))
+        transposed = [list(col) for col in zip(*counts)]
+        assert _max_minor(table(transposed)).rows == (0, 2)
+        assert_kernel_matches_count_oracle(table(transposed))
+
+    def test_exact_ties_among_cells_above_2_53(self):
+        x, y, v = 1053565518431845986, 771097954672714946, 1006497743411020352
+        # Column 3 repeats column 1, and column 2 gives the same exact minor against
+        # column 0, which float64 rounds larger.
+        counts = [[x, y, x + y, y], [1, v, v + 1, v]]
+        assert minor(counts, 0, 1, 0, 1) == minor(counts, 0, 1, 0, 2) == minor(counts, 0, 1, 0, 3)
+        assert abs(float_minor(counts, 0, 1, 0, 2)) > abs(float_minor(counts, 0, 1, 0, 1))
+        for c in (counts, [list(col) for col in zip(*counts)]):
+            w = _max_minor(table(c))
+            assert (w.rows, w.cols) == (((0, 1), (0, 1)))
+            assert_kernel_matches_count_oracle(table(c))
+
+    @pytest.mark.parametrize("base", [2**1100, 10**400, 2**53 + 1],
+                             ids=["2**1100", "10**400", "2**53+1"])
+    def test_cells_beyond_float_range(self, base):
+        """Shifted into range before the filter; a minor of 1 among cells of 2^1100 is found."""
+        counts = [[base, base + 1], [base - 1, base]]
+        w = _max_minor(table(counts))
+        total = 4 * base
+        assert (w.rows, w.cols, w.value) == ((0, 1), (0, 1), Fraction(1, total * total))
+        rng = random.Random(base % 1000)
+        for n, m in ((3, 4), (5, 5), (2, 7)):
+            counts = [[base + rng.randint(-9, 9) * rng.choice((1, base >> 60)) for _ in range(m)]
+                      for _ in range(n)]
+            assert_kernel_matches_count_oracle(table(counts))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 16), (16, 2), (3, 9), (7, 7), (9, 12),
+                                       (12, 9), (16, 16)])
+    def test_shapes_up_to_16x16(self, shape):
+        n, m = shape
+        rng = random.Random(100 * n + m)
+        for counts in (perturbed(rng, n, m, 2**16, 2**17),
+                       perturbed(rng, n, m, 2**40, 2**41),
+                       [[rng.randint(0, 2**34) for _ in range(m)] for _ in range(n)],
+                       [[rng.choice((0, 2**62, 2**62 + 1)) for _ in range(m)] for _ in range(n)]):
+            assert_kernel_matches_count_oracle(table(counts))
+
+    def test_a_40x40_table_is_searched_row_by_row(self):
+        rng = random.Random(40)
+        assert 780 * 780 > contextrep.joint._ONE_ARRAY
+        assert_kernel_matches_count_oracle(table(perturbed(rng, 40, 40, 2**20, 2**21)))
+        assert_kernel_matches_count_oracle(table(perturbed(rng, 40, 40, 1, 60)))
+
+    @settings(max_examples=200)
+    @given(minor_counts(), st.sampled_from(("counts", "fractions", "floats")),
+           st.integers(1, 40), st.booleans())
+    def test_blocks_of_any_size_give_the_first_maximum(self, counts, kind, block, one_array):
+        """Row by row over blocks of a few column pairs, ties across blocks go to loop order."""
+        counts = [[c * 2**24 if c > 9 else c for c in row] for row in counts]
+        t = table(counts)
+        if kind == "fractions":
+            t = JointTable(t.row_outcomes, t.col_outcomes, t.probs)
+        elif kind == "floats":
+            t = JointTable(t.row_outcomes, t.col_outcomes, t.as_floats())
+        with mock.patch.multiple(contextrep.joint, _MINOR_BLOCK=block,
+                                 _ONE_ARRAY=2**14 if one_array else 0):
+            assert_kernel_matches_oracle(t)
+
+    def test_a_200x200_search_holds_a_few_blocks(self):
+        """Peak traced allocation under 16 MB (row by row over all columns took 92 MB)."""
+        rng = random.Random(200)
+        t = table([[rng.randint(0, 1000) for _ in range(200)] for _ in range(200)])
+        _ = t._form
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert _max_minor(t) is not None
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def assert_same_entry(got, expected):

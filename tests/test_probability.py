@@ -11,6 +11,7 @@ from contextrep import (
     CountTable,
     InvalidCounts,
     InvalidDistribution,
+    JointTable,
     OutcomeSet,
     ParseError,
     ProbabilityVector,
@@ -19,7 +20,7 @@ from contextrep import (
     parse_counts_json,
     probabilities_from_counts,
 )
-from contextrep.probability import check_count, count_matrix, is_exact_value, is_integer
+from contextrep.probability import check_count, count_matrix, is_exact_value, is_integer, shown
 
 
 class TestOutcomeSet:
@@ -63,6 +64,34 @@ class TestCountRule:
         with pytest.raises(ParseError, match=r"invalid count for 'a': .* is not a nonnegative"):
             check_count(c, ParseError, "count for 'a'")
         check_count(0, ParseError, "count for 'a'")
+
+    @pytest.mark.parametrize("x, text", [
+        (-(10**5000), "a negative integer of 5001 digits"),
+        (10**4300, "an integer of 4301 digits"),
+        (2**20000, "an integer of 6021 digits"),
+        (10**4299, "1" + "0" * 4299),
+        (-3, "-3"),
+        ("2", "'2'"),
+    ], ids=["negative-5001-digits", "4301-digits", "2**20000", "4300-digits", "small", "str"])
+    def test_shown_gives_the_length_of_an_int_too_long_for_str(self, x, text):
+        assert shown(x) == text
+
+    def test_a_count_too_long_for_str_is_refused_as_invalid_counts(self):
+        """The message names the count's length, not str()'s digit-limit ValueError."""
+        with pytest.raises(InvalidCounts, match=r"invalid count for 'b': a negative integer "
+                                                r"of 5001 digits is not a nonnegative integer"):
+            CountTable(OutcomeSet(("a", "b")), (1, -(10**5000)))
+        with pytest.raises(InvalidCounts, match=r"invalid count at cell \(1, 0\): a negative "
+                                                r"integer of 5001 digits"):
+            JointTable.from_counts(OutcomeSet(("a", "b")), OutcomeSet(("c",)),
+                                   [[1], [-(10**5000)]])
+
+    @pytest.mark.parametrize("bad", [True, 2.0, -1, None])
+    def test_count_matrix_fast_path_falls_back_to_name_the_first_bad_cell(self, bad):
+        """Only a table of plain nonnegative ints, of any size, skips the cell loop."""
+        assert count_matrix(((1, 2), (3, 1 << 70)), 2, 2, InvalidCounts)[1] == 6 + (1 << 70)
+        with pytest.raises(InvalidCounts, match=rf"invalid count at cell \(1, 2\): {bad!r} "):
+            count_matrix(((1, 2, 3), (4, 5, bad), (bad, 0, 1)), 3, 3, InvalidCounts)
 
     def test_count_matrix_returns_rows_and_total(self):
         assert count_matrix([[1, 0], [2, 3]], 2, 2, InvalidCounts) == (((1, 0), (2, 3)), 6)

@@ -103,6 +103,11 @@ class TestVesselsConfig:
         with pytest.raises(ValueError):
             VesselsConfig(mode="separate", trials=0, seed=0)
 
+    def test_trials_too_long_for_str_are_named_in_the_message(self):
+        with pytest.raises(ValueError, match="trials must be a positive integer, got a negative "
+                                             "integer of 5001 digits"):
+            VesselsConfig(mode="separate", trials=-(10**5000), seed=0)
+
     @pytest.mark.parametrize("name", ["capacity", "threshold"])
     @pytest.mark.parametrize("big", [10**400, -(10**5000), Fraction(10**400, 3)],
                              ids=["int", "int-beyond-the-str-limit", "fraction"])

@@ -175,6 +175,10 @@ class TestRegionMeasure:
         with pytest.raises(IndexError):
             region_measure_ratio(v, 2)
 
+    def test_index_too_long_for_str_is_named_by_length(self):
+        with pytest.raises(IndexError, match="outcome index an integer of 5001 digits"):
+            region_measure_ratio(make_context((0.5, 0.5)), 10**5000)
+
     def test_matches_monte_carlo_hull_oracle(self):
         """Closed-form region shares vs rejection sampling with hull membership."""
         values = (0.1, 0.2, 0.3, 0.4)
@@ -262,6 +266,11 @@ class TestMonteCarloMeasurement:
         monkeypatch.setattr(simplex, "_exponential_batches", no_draw)
         with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials}"):
             monte_carlo_measurement(make_context((0.5, 0.5)), trials, seed=0)
+
+    def test_trials_too_long_for_str_are_named_in_the_message(self):
+        with pytest.raises(ValueError, match="trials must be a positive integer, got a negative "
+                                             "integer of 5001 digits"):
+            monte_carlo_measurement(make_context((0.5, 0.5)), -(10**5000), seed=0)
 
     def test_three_sigma_bounds(self):
         v = make_context((Fraction(1, 4), Fraction(3, 4)))
