@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import FamilyMismatch, InvalidFamily, InvalidPhases
-from .probability import ContextId, OutcomeSet, ProbabilityVector, is_integer, shown
+from .probability import (ContextId, OutcomeSet, ProbabilityVector, as_float, check_index,
+                          is_integer, shown)
 
-#: Allowed deviation from exact unit norm / exact block weight.
+#: Allowed deviation from exact unit norm.
 NORM_TOLERANCE = 1e-12
 
 TWO_PI = 2.0 * math.pi
@@ -102,10 +103,8 @@ class PhaseAssignment:
     def __post_init__(self) -> None:
         normalized = []
         for j, a in enumerate(self.angles):
-            try:
-                a = float(a)
-            except OverflowError:  # an int or Fraction beyond float range, not inf
-                raise InvalidPhases(f"phase at index {j} is too large for a float") from None
+            if type(a) is not float:  # a float is its own float: build no message for it
+                a = as_float(a, InvalidPhases, f"phase at index {j}")
             if not math.isfinite(a):
                 raise InvalidPhases(f"phase {a!r} is not finite")
             a %= TWO_PI
@@ -144,12 +143,9 @@ class ComplexContextVector(AmplitudeVector):
         object.__setattr__(self, "amplitudes", tuple(complex(a) for a in self.amplitudes))
         if len(self.amplitudes) != self.family.m:
             raise FamilyMismatch(
-                f"{len(self.amplitudes)} amplitudes for ambient dimension {self.family.m}"
-            )
+                f"{len(self.amplitudes)} amplitudes for ambient dimension {self.family.m}")
         if self.family.n_blocks != self.outcomes.n:
-            raise FamilyMismatch(
-                f"{self.family.n_blocks} blocks for {self.outcomes.n} outcomes"
-            )
+            raise FamilyMismatch(f"{self.family.n_blocks} blocks for {self.outcomes.n} outcomes")
         self._check_unit_norm(FamilyMismatch)
 
     def probabilities(self) -> tuple[float, ...]:
@@ -178,10 +174,6 @@ def build_complex_context(
     """
     if family is None:
         family = BlockSpectralFamily.rank_one(p.outcomes.n)
-    if family.n_blocks != p.outcomes.n:
-        raise FamilyMismatch(
-            f"family has {family.n_blocks} blocks, distribution has {p.outcomes.n} outcomes"
-        )
     if phases is None:
         phases = PhaseAssignment.zeros(family.m)
     if len(phases) != family.m:
@@ -189,27 +181,22 @@ def build_complex_context(
             f"phase assignment covers {len(phases)} indices, ambient dimension is {family.m}"
         )
     amplitudes = [0j] * family.m
-    for k, block in enumerate(family.blocks):
-        modulus = math.sqrt(p.probs[k] / len(block))
+    for block, prob in zip(family.blocks, p.probs):
+        modulus = math.sqrt(prob / len(block))
         for j in block:
             amplitudes[j] = modulus * cmath.exp(1j * phases.angles[j])
-    w = ComplexContextVector(p.outcomes, tuple(amplitudes), family, ctx)
-    for k in range(p.outcomes.n):
-        if abs(born_probability(w, k) - float(p.probs[k])) > NORM_TOLERANCE:
-            raise FamilyMismatch(f"block {k} weight deviates from its probability")
-    return w
+    # Each block weighs p_k to a few ulp; the vector refuses a block count that is not n.
+    return ComplexContextVector(p.outcomes, tuple(amplitudes), family, ctx)
 
 
 def born_probability(w: ComplexContextVector, k: int) -> float:
     """Squared amplitude weight of outcome k's block."""
-    if not 0 <= k < w.family.n_blocks:
-        raise IndexError(f"outcome index {shown(k)} out of range for {w.family.n_blocks} outcomes")
+    check_index(k, w.family.n_blocks)
     return sum(abs(w.amplitudes[j]) ** 2 for j in w.family.blocks[k])
 
 
 def apply_projector(w: ComplexContextVector, k: int) -> tuple[complex, ...]:
     """Project onto outcome k's block: amplitudes outside the block become 0."""
-    if not 0 <= k < w.family.n_blocks:
-        raise IndexError(f"outcome index {shown(k)} out of range for {w.family.n_blocks} outcomes")
+    check_index(k, w.family.n_blocks)
     keep = set(w.family.blocks[k])
     return tuple(a if j in keep else 0j for j, a in enumerate(w.amplitudes))

@@ -42,12 +42,14 @@ from .probability import (
     Value,
     _count_vector,
     _reject_duplicate_keys,
+    as_float,
     check_simplex,
     count_matrix,
     count_rows,
     is_exact_value,
     is_integer,
     load_json,
+    shown,
 )
 from .simplex import RealContextVector
 
@@ -420,14 +422,10 @@ def default_tolerance(t: JointTable) -> Value:
 
 def check_tolerance(tol: Value) -> None:
     """Refuse a product-test tolerance that is not finite, then one that is negative."""
-    try:
-        finite = math.isfinite(tol)
-    except OverflowError:  # an int or Fraction beyond float range, not inf
-        raise ValueError("tolerance is too large for a float") from None
-    if not finite:
+    if not math.isfinite(as_float(tol, ValueError, "tolerance")):
         raise ValueError(f"tolerance must be finite, got {tol!r}")
     if tol < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
+        raise ValueError(f"tolerance must be nonnegative, got {shown(tol)}")
 
 
 def is_product(t: JointTable, tol: Value | None = None) -> EntanglementReport:

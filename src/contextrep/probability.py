@@ -17,7 +17,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator, Mapping, Sequence, Union
+from typing import Any, Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import InvalidCounts, InvalidDistribution, ParseError
 
@@ -37,21 +37,45 @@ def is_exact_value(x: Value) -> bool:
     return isinstance(x, Fraction) or is_integer(x)
 
 
-def shown(x: object) -> str:
-    """repr(x), but an int too long for str() as its sign and number of digits."""
+def shown(x: object, form: Callable[[object], str] = repr) -> str:
+    """form(x); an int too long for str(), alone or in a Fraction, shows as its sign and digits."""
     try:
-        return repr(x)
-    except ValueError:  # past sys.get_int_max_str_digits(), which only an int reaches here
+        return form(x)
+    except ValueError:  # past sys.get_int_max_str_digits(), which only these two reach
+        if isinstance(x, Fraction):
+            return f"Fraction({shown(x.numerator)}, {shown(x.denominator)})"
         digits = int(abs(x).bit_length() * 0.30102)  # at most its length: log10(2) > 0.30102
         while 10**digits <= abs(x):
             digits += 1
         return f"{'a negative' if x < 0 else 'an'} integer of {digits} digits"
 
 
+def as_float(x: object, error: type[Exception], what: str) -> float:
+    """float(x), or `error` naming `what` when x is an int or Fraction beyond float range."""
+    try:
+        return float(x)
+    except OverflowError:  # an int or Fraction beyond float range, not inf
+        raise error(f"{what} is too large for a float") from None
+
+
+def check_index(k: int, n: int) -> None:
+    """Raise IndexError unless k is the index of one of n outcomes."""
+    if not 0 <= k < n:
+        raise IndexError(f"outcome index {shown(k)} out of range for {n} outcomes")
+
+
 def check_count(c: object, error: type[Exception], what: str) -> None:
     """Raise `error` unless the count `c`, named `what`, is a nonnegative integer."""
     if not is_integer(c) or c < 0:
         raise error(f"invalid {what}: {shown(c)} is not a nonnegative integer")
+
+
+def check_job(trials: object, seed: object) -> None:
+    """Raise ValueError unless trials is a positive int and seed a nonnegative one (no bool)."""
+    if not is_integer(trials) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {shown(trials)}")
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {shown(seed)}")
 
 
 def count_matrix(counts: Sequence[Sequence[int]], n_rows: int, n_cols: int,
@@ -84,11 +108,11 @@ def check_simplex(values: Sequence[Value], error: type[Exception], what: str) ->
     """
     for i, x in enumerate(values):
         if not (0 <= x <= 1):
-            raise error(f"{what}[{i}] = {x!r} out of [0, 1]")
+            raise error(f"{what}[{i}] = {shown(x)} out of [0, 1]")
     total = sum(values)
     if all(is_exact_value(x) for x in values):
         if total != 1:
-            raise error(f"exact {what} must sum to 1, got {total}")
+            raise error(f"exact {what} must sum to 1, got {shown(total, str)}")
     elif abs(total - 1) > SUM_TOLERANCE:
         raise error(f"{what} sum to {total!r}, not 1")
 

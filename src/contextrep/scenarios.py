@@ -11,8 +11,8 @@ from typing import Literal, NamedTuple
 
 from .errors import InvalidCounts
 from .joint import JointTable
-from .probability import (CountTable, OutcomeSet, ProbabilityVector, check_count, is_integer,
-                          probabilities_from_counts, shown)
+from .probability import (CountTable, OutcomeSet, ProbabilityVector, as_float, check_count,
+                          check_job, probabilities_from_counts)
 from .simplex import trial_chunks
 
 # numpy is imported in the one function that computes with it, not here:
@@ -103,15 +103,9 @@ class VesselsConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("separate", "connected"):
             raise ValueError(f"mode must be 'separate' or 'connected', got {self.mode!r}")
-        if not is_integer(self.trials) or self.trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {shown(self.trials)}")
-        if not is_integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        check_job(self.trials, self.seed)
         for name in ("capacity", "threshold"):
-            try:
-                object.__setattr__(self, name, float(getattr(self, name)))
-            except OverflowError:  # an int or Fraction beyond float range, not inf
-                raise ValueError(f"{name} is too large for a float") from None
+            object.__setattr__(self, name, as_float(getattr(self, name), ValueError, name))
         if not (0.0 < self.threshold < self.capacity) or not math.isfinite(self.capacity):
             raise ValueError(
                 f"need 0 < threshold < capacity, got threshold={self.threshold}, "

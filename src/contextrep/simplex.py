@@ -38,9 +38,10 @@ from .probability import (
     ContextId,
     ProbabilityVector,
     Value,
+    as_float,
+    check_index,
+    check_job,
     check_simplex,
-    is_integer,
-    shown,
 )
 
 # numpy is imported in each function that computes with it, not here: loading
@@ -82,12 +83,8 @@ class HiddenVariable:
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coords = []
-        for i, x in enumerate(self.coords):
-            try:
-                coords.append(float(x))
-            except OverflowError:  # an int or Fraction beyond float range, not inf
-                raise InvalidHiddenVariable(f"coordinates[{i}] is too large for a float") from None
+        coords = (as_float(x, InvalidHiddenVariable, f"coordinates[{i}]")
+                  for i, x in enumerate(self.coords))
         object.__setattr__(self, "coords", tuple(coords))
         if not self.coords:
             raise InvalidHiddenVariable("hidden variable needs at least one coordinate")
@@ -137,8 +134,9 @@ def classify_hidden_variable(
     the tie (their degenerate region contains the point); with lambda_k > 0
     they are excluded.
     """
-    if not tol >= 0:
-        raise ValueError("tol must be nonnegative")
+    tol = as_float(tol, ValueError, "tol")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
     if not isinstance(lam, HiddenVariable):
         lam = HiddenVariable(tuple(lam))
     if len(lam) != v.n:
@@ -159,8 +157,7 @@ def region_measure_ratio(v: RealContextVector, j: int) -> Value:
     Replacing vertex h_j by v scales the simplex volume by the j-th
     barycentric coordinate of v, so no integration is needed.
     """
-    if not 0 <= j < v.n:
-        raise IndexError(f"outcome index {shown(j)} out of range for {v.n} outcomes")
+    check_index(j, v.n)
     return v.probs[j]
 
 
@@ -354,8 +351,7 @@ def monte_carlo_measurement(
     Frequencies are taken over deterministic resolutions only; boundary hits
     (a measure-zero event, so expected count 0) are reported separately.
     """
-    if not is_integer(trials) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {shown(trials)}")
+    check_job(trials, seed)
     import numpy as np  # here, so that no pool thread of `_exponential_batches` loads it
 
     inv_v = _reciprocals(v)

@@ -102,6 +102,14 @@ class TestSimulate:
         assert report["frequencies"]["down"] == 0.0
         assert report["pass"] is True
 
+    @pytest.mark.parametrize("command", [["simulate", "animal.csv"],
+                                         ["scenario", "vessels", "--mode", "separate"]])
+    def test_negative_seed_is_refused_by_name(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "animal.csv").write_text(ANIMAL_CSV)
+        code, out, err = run(capsys, *command, "--trials", "10", "--seed", "-1")
+        assert (code, out, err) == (3, "", "error: seed must be a nonnegative integer, got -1\n")
+
     def test_uniform_four_outcomes(self, tmp_path, capsys):
         f = tmp_path / "uniform.json"
         f.write_text('{"a": 1, "b": 1, "c": 1, "d": 1}')

@@ -325,6 +325,11 @@ class TestIsProduct:
         with pytest.raises(ValueError, match="tolerance is too large for a float"):
             is_product(vessels_ideal(), tol=tol)
 
+    def test_a_negative_tolerance_too_long_for_str_is_named_by_length(self):
+        with pytest.raises(ValueError, match=r"tolerance must be nonnegative, got "
+                                             r"Fraction\(-1, an integer of 5001 digits\)"):
+            is_product(vessels_ideal(), tol=Fraction(-1, 10**5000))
+
     def test_report_json_shape(self):
         d = is_product(animal_acts_joint()).to_json_dict()
         assert d["verdict"] == "entangled"

@@ -76,6 +76,15 @@ class TestCountRule:
     def test_shown_gives_the_length_of_an_int_too_long_for_str(self, x, text):
         assert shown(x) == text
 
+    @pytest.mark.parametrize("x, text", [
+        (Fraction(1, 10**5000), "Fraction(1, an integer of 5001 digits)"),
+        (Fraction(-(10**5000), 3), "Fraction(a negative integer of 5001 digits, 3)"),
+        (Fraction(-1, 3), "Fraction(-1, 3)"),
+    ])
+    def test_shown_gives_the_lengths_of_a_fraction_too_long_for_str(self, x, text):
+        assert shown(x) == text
+        assert shown(x, str) == (text if "digits" in text else str(x))
+
     def test_a_count_too_long_for_str_is_refused_as_invalid_counts(self):
         """The message names the count's length, not str()'s digit-limit ValueError."""
         with pytest.raises(InvalidCounts, match=r"invalid count for 'b': a negative integer "
@@ -156,6 +165,16 @@ class TestProbabilityVector:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidDistribution):
             ProbabilityVector(OutcomeSet(("a", "b")), (Fraction(3, 2), Fraction(-1, 2)))
+
+    @pytest.mark.parametrize("probs, message", [
+        ((10**5000, 0), r"probabilities\[0\] = an integer of 5001 digits out of \[0, 1\]"),
+        ((Fraction(1, 10**5000), Fraction(1, 2)),
+         r"must sum to 1, got Fraction\(an integer of 5000 digits, an integer of 5001 digits\)"),
+    ], ids=["entry", "exact-sum"])
+    def test_a_value_too_long_for_str_is_refused_as_invalid_distribution(self, probs, message):
+        """The message names the lengths, not str()'s digit-limit ValueError."""
+        with pytest.raises(InvalidDistribution, match=message):
+            ProbabilityVector(OutcomeSet(("a", "b")), probs)
 
     def test_displayed(self):
         p = ProbabilityVector(OutcomeSet(("H", "B")), (Fraction(43, 81), Fraction(38, 81)))

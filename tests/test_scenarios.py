@@ -108,6 +108,15 @@ class TestVesselsConfig:
                                              "integer of 5001 digits"):
             VesselsConfig(mode="separate", trials=-(10**5000), seed=0)
 
+    @pytest.mark.parametrize("seed, shown", [
+        (-3, "-3"), (True, "True"), (1.5, "1.5"),
+        (Fraction(1, 10**5000), r"Fraction\(1, an integer of 5001 digits\)"),
+    ], ids=["negative", "bool", "float", "fraction-beyond-the-str-limit"])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed, shown):
+        """The rule monte_carlo_measurement applies, with the value in the message."""
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {shown}$"):
+            VesselsConfig(mode="separate", trials=10, seed=seed)
+
     @pytest.mark.parametrize("name", ["capacity", "threshold"])
     @pytest.mark.parametrize("big", [10**400, -(10**5000), Fraction(10**400, 3)],
                              ids=["int", "int-beyond-the-str-limit", "fraction"])

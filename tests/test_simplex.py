@@ -132,6 +132,15 @@ class TestClassify:
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             classify_hidden_variable(v, (0.9, 0.1), tol=float("nan"))
 
+    @pytest.mark.parametrize("tol, message", [
+        (math.inf, "tol must be nonnegative and finite, got inf"),
+        (10**400, "tol is too large for a float"),
+    ], ids=["inf", "int-beyond-float-range"])
+    def test_rejects_a_tolerance_that_is_not_a_finite_float(self, tol, message):
+        """An infinite tol would tie every index; one past float range would overflow."""
+        with pytest.raises(ValueError, match=message):
+            classify_hidden_variable(make_context((0.5, 0.5)), (0.9, 0.1), tol=tol)
+
     @settings(max_examples=150)
     @given(
         st.integers(2, 5).flatmap(
@@ -271,6 +280,16 @@ class TestMonteCarloMeasurement:
         with pytest.raises(ValueError, match="trials must be a positive integer, got a negative "
                                              "integer of 5001 digits"):
             monte_carlo_measurement(make_context((0.5, 0.5)), -(10**5000), seed=0)
+
+    @pytest.mark.parametrize("seed", [True, 1.5, -3])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed, monkeypatch):
+        """The rule VesselsConfig applies, checked before any draw."""
+        def no_draw(*args):
+            raise AssertionError("a refused job drew")
+
+        monkeypatch.setattr(simplex, "_exponential_batches", no_draw)
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed}$"):
+            monte_carlo_measurement(make_context((0.5, 0.5)), 10, seed)
 
     def test_three_sigma_bounds(self):
         v = make_context((Fraction(1, 4), Fraction(3, 4)))
