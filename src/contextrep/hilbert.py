@@ -9,8 +9,11 @@ the block.
 
 Amplitudes are chosen as sqrt(p_k / b_k) * exp(i * alpha_j) for every ambient
 index j of block k, where b_k is the block size; this is the normalization
-forced by the Born rule (each block then carries weight p_k).  Phases are
-free inputs and never affect probabilities.
+forced by the Born rule (each block then carries weight p_k).  Every vector
+holds its amplitudes in polar form, one modulus and one phase per index, and
+the Born rule reads the moduli alone, so a phase, a free input, never moves a
+probability by one bit.  The complex values are formed only for reports and
+projections.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Mapping, Sequence
 
 from .errors import FamilyMismatch, InvalidFamily, InvalidPhases
 from .probability import (ContextId, OutcomeSet, ProbabilityVector, as_float, check_index,
-                          is_integer, shown)
+                          is_exact_value, is_integer, shown)
 
 #: Allowed deviation from exact unit norm.
 NORM_TOLERANCE = 1e-12
@@ -36,17 +39,32 @@ def round_sig(x: float) -> float:
 
 
 class AmplitudeVector:
-    """The one owner of an amplitude vector's unit-norm rule, moduli and report form."""
+    """The one owner of an amplitude vector's polar form, unit-norm rule and report form."""
 
-    amplitudes: tuple[complex, ...]
+    magnitudes: tuple[float, ...]
+    phases: tuple[float, ...]
 
-    def _check_unit_norm(self, error: type[Exception]) -> None:
-        norm = sum(abs(a) ** 2 for a in self.amplitudes)
-        if abs(norm - 1.0) > NORM_TOLERANCE:
+    def _hold_polar(self, size: int, error: type[Exception]) -> None:
+        """Hold the phases normalized; refuse all but `size` finite moduli of unit norm."""
+        phases = self.phases  # normalized once: here, or by a PhaseAssignment given
+        phases = phases if isinstance(phases, PhaseAssignment) else PhaseAssignment(phases)
+        object.__setattr__(self, "phases", phases.angles)
+        object.__setattr__(self, "magnitudes", tuple(self.magnitudes))
+        if len(self.magnitudes) != size or len(self.phases) != size:
+            raise error(f"expected {size} moduli and phases")
+        if not all(0 <= m < math.inf for m in self.magnitudes):  # a NaN modulus fails too
+            raise error("every modulus must be finite and nonnegative")
+        norm = sum(m * m for m in self.magnitudes)
+        if not abs(norm - 1.0) <= NORM_TOLERANCE:  # a NaN norm fails too
             raise error(f"amplitudes have squared norm {norm!r}, not 1")
 
+    @property
+    def amplitudes(self) -> tuple[complex, ...]:
+        """m * e^(i theta) per index, formed for reports and projections only."""
+        return tuple(m * cmath.exp(1j * a) for m, a in zip(self.magnitudes, self.phases))
+
     def moduli(self) -> tuple[float, ...]:
-        return tuple(abs(a) for a in self.amplitudes)
+        return self.magnitudes
 
     def amplitude_entries(self) -> list[dict]:
         """Report form: real and imaginary parts at 12 significant digits."""
@@ -104,6 +122,8 @@ class PhaseAssignment:
         normalized = []
         for j, a in enumerate(self.angles):
             if type(a) is not float:  # a float is its own float: build no message for it
+                if not (isinstance(a, float) or is_exact_value(a)):
+                    raise InvalidPhases(f"phase at index {j} must be a number, got {a!r}")
                 a = as_float(a, InvalidPhases, f"phase at index {j}")
             if not math.isfinite(a):
                 raise InvalidPhases(f"phase {a!r} is not finite")
@@ -124,9 +144,6 @@ class PhaseAssignment:
         unknown = set(angles) - set(labels)
         if unknown:
             raise InvalidPhases(f"phase labels {sorted(unknown)!r} not among outcomes {list(labels)!r}")
-        for label, a in angles.items():
-            if isinstance(a, bool) or not isinstance(a, (int, float)):
-                raise InvalidPhases(f"phase for {label!r} must be a number, got {a!r}")
         return cls(tuple(angles.get(l, 0.0) for l in labels))
 
 
@@ -135,18 +152,15 @@ class ComplexContextVector(AmplitudeVector):
     """Unit vector whose block weights are the outcome probabilities."""
 
     outcomes: OutcomeSet
-    amplitudes: tuple[complex, ...]
+    magnitudes: tuple[float, ...]
+    phases: tuple[float, ...]
     family: BlockSpectralFamily
     context: ContextId
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitudes", tuple(complex(a) for a in self.amplitudes))
-        if len(self.amplitudes) != self.family.m:
-            raise FamilyMismatch(
-                f"{len(self.amplitudes)} amplitudes for ambient dimension {self.family.m}")
         if self.family.n_blocks != self.outcomes.n:
             raise FamilyMismatch(f"{self.family.n_blocks} blocks for {self.outcomes.n} outcomes")
-        self._check_unit_norm(FamilyMismatch)
+        self._hold_polar(self.family.m, FamilyMismatch)
 
     def probabilities(self) -> tuple[float, ...]:
         return tuple(born_probability(self, k) for k in range(self.outcomes.n))
@@ -174,25 +188,21 @@ def build_complex_context(
     """
     if family is None:
         family = BlockSpectralFamily.rank_one(p.outcomes.n)
-    if phases is None:
-        phases = PhaseAssignment.zeros(family.m)
-    if len(phases) != family.m:
-        raise FamilyMismatch(
-            f"phase assignment covers {len(phases)} indices, ambient dimension is {family.m}"
-        )
-    amplitudes = [0j] * family.m
+    moduli = [0.0] * family.m
     for block, prob in zip(family.blocks, p.probs):
-        modulus = math.sqrt(prob / len(block))
         for j in block:
-            amplitudes[j] = modulus * cmath.exp(1j * phases.angles[j])
-    # Each block weighs p_k to a few ulp; the vector refuses a block count that is not n.
-    return ComplexContextVector(p.outcomes, tuple(amplitudes), family, ctx)
+            moduli[j] = math.sqrt(prob / len(block))
+    # Each block weighs p_k to a few ulp; the vector refuses a block or phase count that is off.
+    return ComplexContextVector(p.outcomes, tuple(moduli),
+                                PhaseAssignment.zeros(family.m) if phases is None else phases,
+                                family, ctx)
 
 
 def born_probability(w: ComplexContextVector, k: int) -> float:
     """Squared amplitude weight of outcome k's block."""
     check_index(k, w.family.n_blocks)
-    return sum(abs(w.amplitudes[j]) ** 2 for j in w.family.blocks[k])
+    moduli = w.magnitudes  # squared as m * m, correctly rounded; libm's m ** 2 is not always
+    return sum(moduli[j] * moduli[j] for j in w.family.blocks[k])
 
 
 def apply_projector(w: ComplexContextVector, k: int) -> tuple[complex, ...]:

@@ -20,7 +20,6 @@ filter whose error bound leaves few minors to compute in Python ints.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -235,22 +234,15 @@ class EntanglementReport:
 
 @dataclass(frozen=True)
 class JointComplexVector(AmplitudeVector):
-    """Amplitudes over the tensor basis, row-major; squared moduli are the table."""
+    """Moduli and phases over the tensor basis, row-major; squared moduli are the table."""
 
     row_outcomes: OutcomeSet
     col_outcomes: OutcomeSet
-    amplitudes: tuple[complex, ...]
+    magnitudes: tuple[float, ...]
     phases: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitudes", tuple(complex(a) for a in self.amplitudes))
-        object.__setattr__(self, "phases", PhaseAssignment(self.phases).angles)
-        size = self.row_outcomes.n * self.col_outcomes.n
-        if len(self.amplitudes) != size or len(self.phases) != size:
-            raise InvalidJointTable(
-                f"expected {size} amplitudes and phases over the tensor basis"
-            )
-        self._check_unit_norm(InvalidJointTable)
+        self._hold_polar(self.row_outcomes.n * self.col_outcomes.n, InvalidJointTable)
 
     # The table's method reads only the two outcome sets, which this class shares.
     combined_labels = JointTable.combined_labels
@@ -278,9 +270,9 @@ def tensor_product_complex(
     """Tensor product of two rank-1 context vectors; phases add per basis pair."""
     if not (w1.family.is_rank_one and w2.family.is_rank_one):
         raise UnsupportedFamily("tensor products require rank-1 projector blocks")
-    amplitudes = tuple(a * b for a in w1.amplitudes for b in w2.amplitudes)
-    phases = tuple(cmath.phase(z) if z != 0 else 0.0 for z in amplitudes)
-    return JointComplexVector(w1.outcomes, w2.outcomes, amplitudes, phases)
+    moduli = tuple(a * b for a in w1.magnitudes for b in w2.magnitudes)
+    phases = tuple(a + b for a in w1.phases for b in w2.phases)  # reduced mod 2*pi by the vector
+    return JointComplexVector(w1.outcomes, w2.outcomes, moduli, phases)
 
 
 def build_joint_vectors(
@@ -300,11 +292,8 @@ def build_joint_vectors(
         )
     real = tuple(p for row in t.probs for p in row)
     cells, total, *_ = t._form  # p == c / T exactly, and c / T rounds as float(p) does
-    amplitudes = tuple(
-        math.sqrt(c / total) * cmath.exp(1j * angle)
-        for c, angle in zip(itertools.chain.from_iterable(cells), phases.angles)
-    )
-    return real, JointComplexVector(t.row_outcomes, t.col_outcomes, amplitudes, phases.angles)
+    moduli = tuple(math.sqrt(c / total) for c in itertools.chain.from_iterable(cells))
+    return real, JointComplexVector(t.row_outcomes, t.col_outcomes, moduli, phases)
 
 
 def marginals(t: JointTable) -> Marginals:

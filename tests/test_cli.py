@@ -337,6 +337,17 @@ class TestExitCodes:
         assert (code, stdout) == (3, "")
         assert err == "error: phase at index 0 is too large for a float\n"
 
+    @pytest.mark.parametrize("value, shown", [('"x"', "'x'"), ("true", "True"), ("null", "None")])
+    def test_phase_that_is_not_a_number_is_3(self, tmp_path, capsys, value, shown):
+        """PhaseAssignment owns the number rule and names the phase by its index."""
+        f = tmp_path / "animal.csv"
+        f.write_text(ANIMAL_CSV)
+        phases = tmp_path / "phases.json"
+        phases.write_text('{"Horse": ' + value + "}")
+        code, stdout, err = run(capsys, "represent", str(f), "--phases", str(phases))
+        assert (code, stdout) == (3, "")
+        assert err == f"error: phase at index 0 must be a number, got {shown}\n"
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf"])
     def test_non_finite_tolerance_is_3(self, tmp_path, capsys, tolerance):
         f = tmp_path / "joint.csv"

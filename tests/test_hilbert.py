@@ -37,6 +37,11 @@ def float_distributions(n):
     )
 
 
+def float_bits(values):
+    """The exact bits of each float, in hex."""
+    return [float(v).hex() for v in values]
+
+
 def block_families(n):
     """Random ordered partitions of {0..m-1} into n blocks of size 1..n."""
 
@@ -119,6 +124,15 @@ class TestPhaseAssignment:
         with pytest.raises(InvalidPhases, match="index 0"):
             PhaseAssignment.from_mapping({"a": 10**400}, labels=("a", "b"))
 
+    def test_only_ints_floats_and_fractions_are_phases(self):
+        """float() would take a str, bytes or bool; the refusal names the phase's index."""
+        for bad in ("1.5", b"1", True, 2 + 0j, None):
+            with pytest.raises(InvalidPhases, match="phase at index 1 must be a number"):
+                PhaseAssignment((0.5, bad))
+            with pytest.raises(InvalidPhases, match="phase at index 0 must be a number"):
+                PhaseAssignment.from_mapping({"a": bad}, labels=("a", "b"))
+        assert PhaseAssignment((1, 0.5, Fraction(1, 4))).angles == (1.0, 0.5, 0.25)
+
 
 class TestBuildComplexContext:
     def test_rank_one_moduli_are_square_roots(self):
@@ -185,6 +199,27 @@ class TestBuildComplexContext:
         assert phased.probabilities() == pytest.approx(plain.probabilities(), abs=1e-15)
         assert phased.moduli() == pytest.approx(plain.moduli(), abs=1e-15)
 
+    @settings(max_examples=200)
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.tuples(float_distributions(n), block_families(n))
+        ),
+        st.data(),
+    )
+    def test_phases_leave_probabilities_bit_for_bit(self, pair, data):
+        """Born probabilities and moduli read the stored moduli alone, for any finite phases."""
+        values, fam = pair
+        angle = st.floats(allow_nan=False, allow_infinity=False)
+        angles = data.draw(st.lists(angle, min_size=fam.m, max_size=fam.m))
+        p = make_distribution(values)
+        plain = build_complex_context(p, CTX, family=fam)
+        phased = build_complex_context(p, CTX, family=fam, phases=PhaseAssignment(angles))
+        assert float_bits(phased.moduli()) == float_bits(plain.moduli())
+        assert float_bits(phased.probabilities()) == float_bits(plain.probabilities())
+        outcomes = range(len(values))
+        assert float_bits(born_probability(phased, k) for k in outcomes) == float_bits(
+            born_probability(plain, k) for k in outcomes)
+
 
 class TestProjectors:
     def test_projection_keeps_only_block(self):
@@ -234,8 +269,17 @@ class TestComplexContextVector:
         fam = BlockSpectralFamily.rank_one(2)
         with pytest.raises(FamilyMismatch):
             ComplexContextVector(
-                OutcomeSet(("a", "b")), (0.9 + 0j, 0.9 + 0j), fam, CTX
+                OutcomeSet(("a", "b")), (0.9, 0.9), (0.0, 0.0), fam, CTX
             )
+
+    def test_nan_negative_or_infinite_modulus_refused(self):
+        """A NaN norm once passed the unit-norm rule; a negative modulus squares to 1."""
+        from contextrep import ComplexContextVector
+
+        fam = BlockSpectralFamily.rank_one(2)
+        for moduli in ((math.nan, 1.0), (-0.6, 0.8), (math.inf, 1.0)):
+            with pytest.raises(FamilyMismatch):
+                ComplexContextVector(OutcomeSet(("a", "b")), moduli, (0.0, 0.0), fam, CTX)
 
     def test_json_shape(self):
         p = make_distribution((Fraction(39, 81), Fraction(42, 81)))

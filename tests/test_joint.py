@@ -21,6 +21,7 @@ from contextrep import (
     CountTable,
     InvalidCounts,
     InvalidJointTable,
+    JointComplexVector,
     JointTable,
     OutcomeSet,
     ParseError,
@@ -221,6 +222,21 @@ class TestTensorProduct:
         w = build_complex_context(p, CTX, phases=PhaseAssignment((math.pi, 0.0)))
         assert tensor_product_complex(w, w).phases == (0.0, math.pi, math.pi, 0.0)
 
+    @settings(max_examples=200)
+    @given(st.integers(1, 4).flatmap(distributions), st.integers(1, 4).flatmap(distributions),
+           st.data())
+    def test_complex_moduli_are_products_and_phases_are_sums(self, a, b, data):
+        """Each cell's modulus is m1 * m2 and its phase (a1 + a2) mod 2pi, to the bit."""
+        angle = st.floats(allow_nan=False, allow_infinity=False)
+        phases = [PhaseAssignment(data.draw(st.lists(angle, min_size=len(p), max_size=len(p))))
+                  for p in (a, b)]
+        w1, w2 = (build_complex_context(ProbabilityVector(labelled([p])[1], p), CTX, phases=pa)
+                  for p, pa in zip((a, b), phases))
+        joint = tensor_product_complex(w1, w2)
+        assert joint.moduli() == tuple(m1 * m2 for m1 in w1.moduli() for m2 in w2.moduli())
+        sums = [(a1 + a2) % (2 * math.pi) for a1 in phases[0].angles for a2 in phases[1].angles]
+        assert joint.phases == tuple(0.0 if x == 2 * math.pi else x for x in sums)
+
     def test_complex_requires_rank_one(self):
         p = ProbabilityVector(ROWS, (Fraction(1, 2), Fraction(1, 2)))
         fam = BlockSpectralFamily(3, ((0, 1), (2,)))
@@ -263,6 +279,31 @@ class TestBuildJointVectors:
         d = w.to_json_dict()
         assert d["basis_labels"] == ["r0c0", "r0c1", "r1c0", "r1c1"]
         assert len(d["amplitudes"]) == 4
+
+    def test_default_phases_are_normalized_once(self, monkeypatch):
+        """Zero phases pass through PhaseAssignment once; a given assignment not again."""
+        normalized = []
+        post_init = PhaseAssignment.__post_init__
+
+        def counting(self):
+            normalized.extend(self.angles)
+            post_init(self)
+
+        monkeypatch.setattr(PhaseAssignment, "__post_init__", counting)
+        build_joint_vectors(animal_acts_joint())
+        assert normalized == [0.0] * 4
+        phases = PhaseAssignment((1.0, 2.0, 3.0, 4.0))
+        normalized.clear()
+        assert build_joint_vectors(animal_acts_joint(), phases)[1].phases == phases.angles
+        assert normalized == []
+
+
+class TestJointComplexVector:
+    def test_nan_negative_or_infinite_modulus_refused(self):
+        """A NaN norm once passed the unit-norm rule; a negative modulus squares to 1."""
+        for modulus in (math.nan, -0.6, math.inf):
+            with pytest.raises(InvalidJointTable):
+                JointComplexVector(ROWS, COLS, (modulus, 0.8, 0.0, 0.0), (0.0,) * 4)
 
 
 class TestIsProduct:
@@ -833,6 +874,17 @@ class TestJointVectorsOracle:
         angles = phases.angles if phases is not None else (0.0,) * len(entries)
         assert float_bits(w.phases) == float_bits(angles)
         assert float_bits(w.amplitudes) == float_bits(joint_vectors_oracle(t.probs, angles))
+
+    @settings(max_examples=200)
+    @given(tables_with_phases(), st.data())
+    def test_phases_leave_moduli_bit_for_bit(self, case, data):
+        """The moduli are the zero-phase vector's for any finite phases."""
+        t, _ = case
+        angle = st.floats(allow_nan=False, allow_infinity=False)
+        size = t.n_rows * t.n_cols
+        phases = PhaseAssignment(data.draw(st.lists(angle, min_size=size, max_size=size)))
+        assert float_bits(build_joint_vectors(t, phases)[1].moduli()) == float_bits(
+            build_joint_vectors(t)[1].moduli())
 
 
 class TestFactorizationCertificate:
